@@ -271,7 +271,12 @@ pub fn lz_decompress_into(input: &Bytes, out: &mut Vec<u8>) {
 /// rows`), the output is written in place through slice copies — no
 /// per-token length bookkeeping or growth checks at all. Falls back to
 /// the growing path when `expected` is 0 (unknown).
-pub fn lz_decompress_exact(input: &Bytes, expected: usize, out: &mut Vec<u8>) {
+///
+/// `want` (≤ `expected`) is how many leading bytes the caller will read:
+/// decompression stops at the first token boundary at or past it, so a
+/// pruned scan pays for the stream up to its last kept chunk and no
+/// further. Bytes of `out` past the stop are unspecified.
+pub fn lz_decompress_exact(input: &Bytes, expected: usize, want: usize, out: &mut Vec<u8>) {
     if expected == 0 {
         return lz_decompress_into(input, out);
     }
@@ -279,7 +284,7 @@ pub fn lz_decompress_exact(input: &Bytes, expected: usize, out: &mut Vec<u8>) {
     let data: &[u8] = input;
     let mut pos = 0usize;
     let mut w = 0usize;
-    loop {
+    while w < want {
         let lit = get_varint_at(data, &mut pos) as usize;
         // Typical tokens are short: blind 16-byte copies (two register
         // moves, no memcpy dispatch) whenever there is slack; the extra
@@ -321,7 +326,10 @@ pub fn lz_decompress_exact(input: &Bytes, expected: usize, out: &mut Vec<u8>) {
             }
         }
     }
-    debug_assert_eq!(w, expected, "decompressed length mismatch");
+    debug_assert!(
+        w == expected || (want..expected).contains(&w),
+        "decompressed length mismatch"
+    );
 }
 
 /// Walk an LZ token stream without expanding it: parses every token and
@@ -329,8 +337,10 @@ pub fn lz_decompress_exact(input: &Bytes, expected: usize, out: &mut Vec<u8>) {
 /// must do to recover row addresses inside a variable-width segment (the
 /// whole-partition-decode penalty for segments whose *values* nobody
 /// asked for): every encoded byte is still visited, nothing is
-/// materialized.
-pub fn lz_walk(input: &Bytes) -> u64 {
+/// materialized. The walk stops at the first token boundary at or past
+/// `want` decompressed bytes (`u64::MAX` walks the whole stream) — rows
+/// past a pruned scan's last kept chunk need no address.
+pub fn lz_walk(input: &Bytes, want: u64) -> u64 {
     // Slice-narrowing cursor: single-byte varints (the overwhelmingly
     // common case for token lengths) take the one-compare fast path.
     #[inline]
@@ -354,29 +364,30 @@ pub fn lz_walk(input: &Bytes) -> u64 {
     }
     let mut s: &[u8] = input;
     let mut total = 0u64;
-    loop {
+    while total < want {
         let lit = varint(&mut s);
         s = &s[lit..];
         total += lit as u64;
         let mlen = varint(&mut s);
         let _dist = varint(&mut s);
         if mlen == 0 {
-            return total;
+            break;
         }
         total += mlen as u64;
     }
+    total
 }
 
-/// Stream a delta segment's decoded values through `f` with a
-/// slice-narrowing cursor (single-byte varints — small deltas, the common
-/// case for sorted keys and clustered dates — take a one-compare fast
-/// path). Semantically identical to iterating [`DeltaCursor`]; this is
-/// the executor's fingerprint-producing hot loop.
-pub fn delta_for_each(enc: &EncodedColumn, mut f: impl FnMut(i64)) {
+/// Stream the first `rows` decoded values of a delta segment through `f`
+/// with a slice-narrowing cursor (single-byte varints — small deltas, the
+/// common case for sorted keys and clustered dates — take a one-compare
+/// fast path). Semantically identical to iterating [`DeltaCursor`]; this
+/// is the executor's fingerprint-producing hot loop.
+pub fn delta_for_each(enc: &EncodedColumn, rows: usize, mut f: impl FnMut(i64)) {
     debug_assert_eq!(enc.codec, Codec::Delta);
     let mut s: &[u8] = &enc.bytes;
     let mut prev = 0i64;
-    for _ in 0..enc.rows {
+    for _ in 0..rows.min(enc.rows) {
         let b = s[0];
         s = &s[1..];
         let raw = if b < 0x80 {
@@ -399,11 +410,18 @@ pub fn delta_for_each(enc: &EncodedColumn, mut f: impl FnMut(i64)) {
     }
 }
 
-/// Walk a delta varint stream without decoding it: counts value
-/// boundaries (terminal varint bytes), i.e. the row-addressing work for a
-/// delta segment whose values are not referenced.
-pub fn delta_walk(input: &Bytes) -> u64 {
-    input.iter().filter(|&&b| b & 0x80 == 0).count() as u64
+/// Walk a delta varint stream without decoding it: counts the first
+/// `rows` value boundaries (terminal varint bytes), i.e. the
+/// row-addressing work for a delta segment whose values are not
+/// referenced. A whole-segment walk keeps the unbounded (vectorizable)
+/// count.
+pub fn delta_walk(enc: &EncodedColumn, rows: usize) -> u64 {
+    let ends = enc.bytes.iter().filter(|&&b| b & 0x80 == 0);
+    if rows >= enc.rows {
+        ends.count() as u64
+    } else {
+        ends.take(rows).count() as u64
+    }
 }
 
 // --- streaming cursors --------------------------------------------------
@@ -828,6 +846,35 @@ mod tests {
         // Second use with stale contents: cleared, not appended.
         lz_decompress_into(&c, &mut scratch);
         assert_eq!(scratch, data);
+    }
+
+    #[test]
+    fn bounded_streams_stop_at_the_bound() {
+        let col = ColumnData::Int((0..5000).map(|i| i * 7 - 900).collect());
+        let enc = encode(&col, Codec::Delta);
+        let mut seen = Vec::new();
+        delta_for_each(&enc, 1200, |v| seen.push(v));
+        let expect: Vec<i64> = (0..1200).map(|i| i * 7 - 900).collect();
+        assert_eq!(seen, expect);
+        assert_eq!(delta_walk(&enc, 1200), 1200);
+        assert_eq!(delta_walk(&enc, usize::MAX), 5000);
+
+        // Scrambled digits: short matches, so tokens end near any bound.
+        let text = ColumnData::Text(
+            (0..5000u64)
+                .map(|i| format!("{:07}", i * 2_654_435_761 % 10_000_000))
+                .collect(),
+        );
+        let enc = encode(&text, Codec::Lz);
+        let (total, want) = (enc.rows * enc.raw_width, 1200 * enc.raw_width);
+        let mut whole = Vec::new();
+        lz_decompress_exact(&enc.bytes, total, total, &mut whole);
+        let mut prefix = Vec::new();
+        lz_decompress_exact(&enc.bytes, total, want, &mut prefix);
+        assert_eq!(prefix[..want], whole[..want]);
+        assert_eq!(lz_walk(&enc.bytes, u64::MAX), total as u64);
+        let walked = lz_walk(&enc.bytes, want as u64);
+        assert!((want as u64..total as u64).contains(&walked), "{walked}");
     }
 
     #[test]

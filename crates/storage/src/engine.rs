@@ -1062,11 +1062,16 @@ pub(crate) fn touched_and_io(
 }
 
 /// [`touched_and_io`] for a *pruning* scan: the select-then-fetch byte
-/// accounting both the executor and the cost model charge.
+/// accounting both the executor and the cost model charge. This is the
+/// *modeled* contract — what the advisors and admission price — and it is
+/// deliberately coarser than the executor's *CPU* contract (work follows
+/// the kept chunks: fixed-width segments, drivers included, are read at
+/// kept rows only; variable-width ones stream to the last kept chunk).
 ///
-/// * Files intersecting the predicate's `drivers` are read in full — the
-///   executor decodes every driver segment to evaluate residual clauses
-///   over the kept chunks.
+/// * Files intersecting the predicate's `drivers` are charged in full:
+///   the model selects on the whole driver column before it fetches.
+///   (The executor itself reads a fixed-width driver at kept rows only;
+///   pricing that would be a cost-model change, see ROADMAP.)
 /// * Other fixed-width files fetch only the kept chunks: their bytes
 ///   scale by `kept_rows / rows` (rows are individually addressable, so a
 ///   skipped chunk's bytes are never touched).

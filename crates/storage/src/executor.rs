@@ -21,6 +21,11 @@
 //!    across lanes — the same FNV mix as the naive row-at-a-time loop,
 //!    reordered but bit-identical.
 //!
+//! A predicate scan does the same over the chunks its keep-mask keeps,
+//! and its CPU work follows them (see [`Demand`]); only the modeled
+//! `bytes_read` / `io_seconds` keep the coarser select-then-fetch
+//! accounting.
+//!
 //! # Shared plan, per-thread scratch
 //!
 //! The executor itself is immutable per scan: the mutable state — decode
@@ -43,16 +48,16 @@
 //! The original executor survives as [`crate::engine::scan_naive`], the
 //! oracle the property tests and `scan_bench` hold this module to.
 
-use crate::compress::decode;
-use crate::cursor::PreparedSegment;
-use crate::data::{ColumnData, FNV_OFFSET, FNV_PRIME};
+use crate::cursor::{pack_kept, Demand, PreparedSegment};
+use crate::data::{TableData, FNV_OFFSET, FNV_PRIME};
+use crate::delta::DeltaState;
 use crate::engine::{
     chunk_keep_mask, touched_and_io, touched_and_io_query, ScanResult, StoredTable, TableSnapshot,
 };
-use crate::prune::{clause_matches, CHUNK_ROWS};
+use crate::prune::{clause_matches, clause_matches_cell, CHUNK_ROWS};
 use rayon::prelude::*;
 use slicer_cost::DiskParams;
-use slicer_model::{AttrId, AttrSet, Query};
+use slicer_model::{AttrId, AttrSet, Predicate, Query};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -76,6 +81,31 @@ pub enum CacheMode {
     Warm,
 }
 
+/// What one scan did, counted rather than timed: a pruned scan's counts
+/// scale with its kept chunks, an unpredicated scan's with the table.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct ScanWork {
+    /// Exact driver values read to evaluate residual clauses.
+    driver_values: u64,
+    /// Dictionary entries fingerprinted into per-entry tables.
+    dict_entries: u64,
+    /// Rows streamed out of variable-width segments.
+    streamed_rows: u64,
+    /// Row fingerprints the cursors produced for reconstruction.
+    row_fps: u64,
+}
+
+/// What one scan asks of each touched file.
+#[derive(Clone, Copy)]
+struct Plan<'a> {
+    referenced: AttrSet,
+    /// The rows that will be read.
+    demand: Demand,
+    /// Predicate drivers and chunk keep-mask; empty without a predicate.
+    drivers: AttrSet,
+    keep: &'a [bool],
+}
+
 /// Cached state for one partition file: one slot per segment plus the
 /// file's reusable decode scratch.
 #[derive(Debug, Default)]
@@ -86,6 +116,11 @@ struct FileArena {
     lz_scratch: Vec<u8>,
     /// Retired fingerprint buffers awaiting reuse.
     spare: Vec<Vec<u64>>,
+    /// This scan's variable-width predicate drivers, by segment index:
+    /// the exact values of their kept chunks ([`pack_kept`]).
+    kept: Vec<(usize, PreparedSegment)>,
+    /// Decode work the last [`prepare_file`] did here.
+    work: ScanWork,
 }
 
 #[derive(Debug, Default)]
@@ -132,24 +167,30 @@ struct ScanScratch {
     /// `(attr, file index, segment index)` of each referenced cursor,
     /// reused across scans.
     cursor_keys: Vec<(AttrId, usize, usize)>,
+    /// What the scan in flight has done so far.
+    work: ScanWork,
 }
 
 impl ScanScratch {
-    /// Make the scratch fit `snapshot`, dropping warm state that belongs
-    /// to any other snapshot (arena buffers are recycled).
-    fn shape_for(&mut self, snapshot: &Arc<TableSnapshot>) {
-        if self
+    /// Make the scratch fit `snapshot` for a new scan: warm state that
+    /// belongs to any other snapshot — or, in cold mode, all of it — is
+    /// dropped (arena buffers are recycled).
+    fn shape_for(&mut self, snapshot: &Arc<TableSnapshot>, mode: CacheMode) {
+        self.work = ScanWork::default();
+        let same = self
             .snapshot
             .as_ref()
-            .is_some_and(|held| std::ptr::eq(held.as_ptr(), Arc::as_ptr(snapshot)))
-        {
+            .is_some_and(|held| std::ptr::eq(held.as_ptr(), Arc::as_ptr(snapshot)));
+        if !same || mode == CacheMode::Cold {
+            for arena in &mut self.files {
+                arena.reset();
+            }
+        }
+        if same {
             return;
         }
-        // Drop stale cursors (harvesting their buffers), then reshape the
-        // arenas positionally so allocations are reused across snapshots.
-        for arena in &mut self.files {
-            arena.reset();
-        }
+        // Reshape the arenas positionally so allocations are reused
+        // across snapshots.
         self.files
             .resize_with(snapshot.files.len(), FileArena::default);
         for (arena, file) in self.files.iter_mut().zip(&snapshot.files) {
@@ -219,18 +260,35 @@ impl<'t> ScanExecutor<'t> {
         referenced: AttrSet,
         disk: &DiskParams,
     ) -> ScanResult {
+        self.scan_tallied(snapshot, referenced, None, disk).0
+    }
+
+    /// The one body behind every public scan: checks a scratch out of the
+    /// pool, runs the plain or the pruning scan on it, and returns the
+    /// work tally beside the result.
+    fn scan_tallied(
+        &self,
+        snapshot: &Arc<TableSnapshot>,
+        referenced: AttrSet,
+        predicate: Option<&Predicate>,
+        disk: &DiskParams,
+    ) -> (ScanResult, ScanWork) {
         let mut scratch = self
             .pool
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .pop()
             .unwrap_or_default();
-        let result = self.scan_with(&mut scratch, snapshot, referenced, disk);
+        let result = match predicate {
+            None => self.scan_with(&mut scratch, snapshot, referenced, disk),
+            Some(p) => self.scan_query_with(&mut scratch, snapshot, referenced, p, disk),
+        };
+        let work = scratch.work;
         self.pool
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .push(scratch);
-        result
+        (result, work)
     }
 
     /// The scan body, on a checked-out scratch.
@@ -244,23 +302,23 @@ impl<'t> ScanExecutor<'t> {
         let (touched, bytes_read, io_seconds) = touched_and_io(snapshot, referenced, disk);
 
         let start = Instant::now();
-        scratch.shape_for(snapshot);
-        if self.mode == CacheMode::Cold {
-            for arena in &mut scratch.files {
-                arena.reset();
-            }
-        }
-
-        self.prepare_touched(scratch, snapshot, &touched, referenced);
-        gather_cursors(scratch, snapshot, &touched, referenced);
+        scratch.shape_for(snapshot, self.mode);
+        let rows = snapshot.source.rows;
+        let plan = Plan {
+            referenced,
+            demand: Demand::all(rows),
+            drivers: AttrSet::default(),
+            keep: &[],
+        };
+        self.prepare_touched(scratch, snapshot, &touched, plan);
         let cursors: &[(AttrId, usize, usize)] = &scratch.cursor_keys;
+        scratch.work.row_fps = (rows * cursors.len()) as u64;
 
         // Blocked tuple reconstruction over the columnar base. Rows fold
         // into the checksum rotated by their *visible* position (rank
         // among non-tombstoned rows) — identical to physical position
         // when the delta is empty, and invariant under delta folding
         // otherwise, matching the naive oracle bit-for-bit.
-        let rows = snapshot.source.rows;
         let delta = &snapshot.delta;
         let deleted = delta.deleted_ids();
         let merge = !delta.is_empty();
@@ -274,10 +332,7 @@ impl<'t> ScanExecutor<'t> {
             let len = BLOCK_ROWS.min(rows - base);
             row_hash[..len].fill(FNV_OFFSET);
             for &(_, fi, si) in cursors {
-                let SegSlot::Ready(seg) = &scratch.files[fi].slots[si] else {
-                    unreachable!("cursor keys only index Ready slots");
-                };
-                seg.fill_fps(base, &mut fp_lane[..len]);
+                ready(&scratch.files, fi, si).fill_fps(base, &mut fp_lane[..len]);
                 for (h, fp) in row_hash[..len].iter_mut().zip(&fp_lane[..len]) {
                     *h = (*h ^ fp).wrapping_mul(FNV_PRIME);
                 }
@@ -298,25 +353,10 @@ impl<'t> ScanExecutor<'t> {
             }
             base += len;
         }
-        // Delta epilogue: the row-store side merges after the base in
-        // append order, hashing the referenced attributes ascending — the
-        // same order the cursor lanes combined in.
-        if merge {
-            for batch in delta.batches() {
-                for i in 0..batch.data.rows {
-                    if delta.is_deleted(batch.first_row_id + i as u64) {
-                        continue;
-                    }
-                    let mut h = FNV_OFFSET;
-                    for &(aid, _, _) in cursors {
-                        h = (h ^ batch.data.columns[aid.index()].fingerprint(i))
-                            .wrapping_mul(FNV_PRIME);
-                    }
-                    checksum ^= h.rotate_left((visible % 63) as u32);
-                    visible += 1;
-                }
-            }
-        }
+        // The row-store side hashes the referenced attributes ascending —
+        // the same order the cursor lanes combined in.
+        let attrs = cursors.iter().map(|&(aid, _, _)| aid);
+        fold_delta(delta, attrs, |_, _| true, &mut checksum, &mut visible);
         let cpu_seconds = start.elapsed().as_secs_f64();
 
         ScanResult {
@@ -346,161 +386,124 @@ impl<'t> ScanExecutor<'t> {
         query: &Query,
         disk: &DiskParams,
     ) -> ScanResult {
-        if query.predicate.is_none() {
-            return self.scan_snapshot(snapshot, query.referenced, disk);
-        }
-        let mut scratch = self
-            .pool
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .pop()
-            .unwrap_or_default();
-        let result = self.scan_query_with(&mut scratch, snapshot, query, disk);
-        self.pool
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(scratch);
-        result
+        let predicate = query.predicate.as_ref();
+        self.scan_tallied(snapshot, query.referenced, predicate, disk)
+            .0
     }
 
-    /// The pruning scan body, on a checked-out scratch.
+    /// The pruning scan body, on a checked-out scratch. CPU work follows
+    /// the kept chunks, not the table: fixed-width cursors are read at
+    /// kept rows only, variable-width ones stream to the last kept chunk.
     fn scan_query_with(
         &self,
         scratch: &mut ScanScratch,
         snapshot: &Arc<TableSnapshot>,
-        query: &Query,
+        referenced: AttrSet,
+        predicate: &Predicate,
         disk: &DiskParams,
     ) -> ScanResult {
-        let predicate = query
-            .predicate
-            .as_ref()
-            .expect("caller checked for a predicate");
-        let referenced = query.referenced;
+        let drivers = predicate.attrs();
         let keep = chunk_keep_mask(snapshot, predicate);
         let (touched, bytes_read, io_seconds) =
-            touched_and_io_query(snapshot, referenced, predicate.attrs(), &keep, disk);
+            touched_and_io_query(snapshot, referenced, drivers, &keep, disk);
 
         let start = Instant::now();
-        scratch.shape_for(snapshot);
-        if self.mode == CacheMode::Cold {
-            for arena in &mut scratch.files {
-                arena.reset();
-            }
-        }
-
+        scratch.shape_for(snapshot, self.mode);
+        let rows = snapshot.source.rows;
         let delta = &snapshot.delta;
         let mut checksum = 0u64;
         let mut qualifying = 0usize;
 
         // When every chunk is pruned, the whole base — driver segments
         // included — is skipped before any decode or walk.
-        if keep.iter().any(|&k| k) {
-            self.prepare_touched(scratch, snapshot, &touched, referenced);
-            gather_cursors(scratch, snapshot, &touched, referenced);
+        if let Some(demand) = Demand::kept(&keep, rows) {
+            let plan = Plan {
+                referenced,
+                demand,
+                drivers,
+                keep: &keep,
+            };
+            self.prepare_touched(scratch, snapshot, &touched, plan);
             let cursors: &[(AttrId, usize, usize)] = &scratch.cursor_keys;
+            let files = &scratch.files;
 
-            // Decode each driver column once: residual clauses evaluate
-            // on exact values (fingerprints could collide a wrong row in).
-            let mut drivers: Vec<(AttrId, ColumnData)> = Vec::new();
-            for clause in &predicate.clauses {
-                if drivers.iter().any(|(a, _)| *a == clause.attr) {
-                    continue;
-                }
-                let (fi, si) = snapshot
-                    .files
-                    .iter()
-                    .enumerate()
-                    .find_map(|(fi, f)| {
-                        f.segments
-                            .iter()
-                            .position(|(aid, _)| *aid == clause.attr)
-                            .map(|si| (fi, si))
-                    })
-                    .expect("predicate driver must be stored");
-                let col = decode(
-                    &snapshot.files[fi].segments[si].1,
-                    &snapshot.source.columns[clause.attr.index()],
-                );
-                drivers.push((clause.attr, col));
-            }
-            let clause_cols: Vec<usize> = predicate
+            // Residual clauses evaluate on exact values (fingerprints
+            // could collide a wrong row in), read from the driver's own
+            // cursor by row — or, for a variable-width driver, from its
+            // packed kept chunks by rank among kept rows. Invariant: a
+            // driver is referenced (`Workload` and the wire both validate
+            // it), so its cursor is among the gathered ones. A foreign or
+            // hand-built query that breaks this must not panic a
+            // connection thread: its clause keeps every row, as
+            // `chunk_keep_mask` keeps every chunk for a clause it finds
+            // no stats for.
+            let sources: Vec<Option<(&PreparedSegment, bool)>> = predicate
                 .clauses
                 .iter()
-                .map(|c| drivers.iter().position(|(a, _)| *a == c.attr).unwrap())
+                .map(|clause| {
+                    let found = cursors.binary_search_by_key(&clause.attr, |&(a, _, _)| a);
+                    debug_assert!(found.is_ok(), "predicate driver must be referenced");
+                    let (_, fi, si) = cursors[found.ok()?];
+                    let packed = files[fi].kept.iter().find(|(at, _)| *at == si);
+                    Some(packed.map_or((ready(files, fi, si), false), |(_, seg)| (seg, true)))
+                })
                 .collect();
 
-            let rows = snapshot.source.rows;
             let deleted = delta.deleted_ids();
+            let work = &mut scratch.work;
             let row_hash = &mut scratch.row_hash;
             let fp_lane = &mut scratch.fp_lane;
-            let mut base = 0usize;
-            let mut next_del = 0usize;
-            while base < rows {
+            let mut kept_base = 0usize;
+            for base in (0..rows)
+                .step_by(CHUNK_ROWS)
+                .filter(|b| keep[b / CHUNK_ROWS])
+            {
                 let len = BLOCK_ROWS.min(rows - base);
-                if !keep[base / CHUNK_ROWS] {
-                    // Skipped chunk: provably holds no qualifying row.
-                    // Only the tombstone pointer needs to advance past it.
-                    while next_del < deleted.len() && deleted[next_del] < (base + len) as u64 {
-                        next_del += 1;
-                    }
-                    base += len;
-                    continue;
-                }
                 row_hash[..len].fill(FNV_OFFSET);
                 for &(_, fi, si) in cursors {
-                    let SegSlot::Ready(seg) = &scratch.files[fi].slots[si] else {
-                        unreachable!("cursor keys only index Ready slots");
-                    };
-                    seg.fill_fps(base, &mut fp_lane[..len]);
+                    ready(files, fi, si).fill_fps(base, &mut fp_lane[..len]);
                     for (h, fp) in row_hash[..len].iter_mut().zip(&fp_lane[..len]) {
                         *h = (*h ^ fp).wrapping_mul(FNV_PRIME);
                     }
                 }
+                work.row_fps += (len * cursors.len()) as u64;
+                // Tombstones inside skipped chunks are never visited.
+                let mut next_del = deleted.partition_point(|&d| d < base as u64);
                 for (j, h) in row_hash[..len].iter().enumerate() {
-                    let r = base + j;
-                    if next_del < deleted.len() && deleted[next_del] == r as u64 {
+                    if deleted.get(next_del) == Some(&((base + j) as u64)) {
                         next_del += 1;
                         continue;
                     }
-                    let matches = predicate
-                        .clauses
-                        .iter()
-                        .zip(&clause_cols)
-                        .all(|(c, &ci)| clause_matches(c, &drivers[ci].1, r));
-                    if !matches {
-                        continue;
+                    let matches = predicate.clauses.iter().zip(&sources).all(|(c, source)| {
+                        let Some((seg, by_rank)) = source else {
+                            return true;
+                        };
+                        work.driver_values += 1;
+                        seg.value(if *by_rank { kept_base + j } else { base + j })
+                            .is_none_or(|cell| clause_matches_cell(c, cell))
+                    });
+                    if matches {
+                        checksum ^= h.rotate_left((qualifying % 63) as u32);
+                        qualifying += 1;
                     }
-                    checksum ^= h.rotate_left((qualifying % 63) as u32);
-                    qualifying += 1;
                 }
-                base += len;
+                kept_base += len;
             }
         }
 
-        // Delta epilogue: the row store is never chunk-prunable — every
-        // row is filtered by exact clause evaluation, then hashed over
-        // the referenced attributes ascending, as the oracle does.
-        for batch in delta.batches() {
-            for i in 0..batch.data.rows {
-                if delta.is_deleted(batch.first_row_id + i as u64) {
-                    continue;
-                }
-                let matches = predicate
-                    .clauses
-                    .iter()
-                    .all(|c| clause_matches(c, &batch.data.columns[c.attr.index()], i));
-                if !matches {
-                    continue;
-                }
-                let mut h = FNV_OFFSET;
-                for aid in referenced.iter() {
-                    h = (h ^ batch.data.columns[aid.index()].fingerprint(i))
-                        .wrapping_mul(FNV_PRIME);
-                }
-                checksum ^= h.rotate_left((qualifying % 63) as u32);
-                qualifying += 1;
-            }
-        }
+        // The row store is never chunk-prunable: every row is filtered by
+        // exact clause evaluation, then hashed as the oracle does.
+        let accept = |data: &TableData, i: usize| {
+            let matches = |c| clause_matches(c, &data.columns[c.attr.index()], i);
+            predicate.clauses.iter().all(matches)
+        };
+        fold_delta(
+            delta,
+            referenced.iter(),
+            accept,
+            &mut checksum,
+            &mut qualifying,
+        );
         let cpu_seconds = start.elapsed().as_secs_f64();
 
         ScanResult {
@@ -511,17 +514,18 @@ impl<'t> ScanExecutor<'t> {
         }
     }
 
-    /// Decode the touched partitions — rayon-parallel when there is both
-    /// more than one partition and more than one core (each task owns its
-    /// file's arena for the duration, moved out and back, so scratch
-    /// reuse and parallelism compose without locks); in-place and
-    /// allocation-free otherwise.
+    /// Decode the touched partitions as `plan` asks and gather their
+    /// cursors — rayon-parallel when there is both more than one
+    /// partition and more than one core (each task owns its file's arena
+    /// for the duration, moved out and back, so scratch reuse and
+    /// parallelism compose without locks); in-place and allocation-free
+    /// otherwise.
     fn prepare_touched(
         &self,
         scratch: &mut ScanScratch,
         snapshot: &Arc<TableSnapshot>,
         touched: &[usize],
-        referenced: AttrSet,
+        plan: Plan<'_>,
     ) {
         let table = self.table;
         if touched.len() > 1 && rayon::current_num_threads() > 1 {
@@ -532,7 +536,7 @@ impl<'t> ScanExecutor<'t> {
             let prepared: Vec<(usize, FileArena)> = tasks
                 .into_par_iter()
                 .map(|(i, mut arena)| {
-                    prepare_file(table, snapshot, i, referenced, &mut arena);
+                    prepare_file(table, snapshot, i, plan, &mut arena);
                     (i, arena)
                 })
                 .collect();
@@ -541,8 +545,49 @@ impl<'t> ScanExecutor<'t> {
             }
         } else {
             for &i in touched {
-                prepare_file(table, snapshot, i, referenced, &mut scratch.files[i]);
+                prepare_file(table, snapshot, i, plan, &mut scratch.files[i]);
             }
+        }
+        for &i in touched {
+            scratch.work.dict_entries += scratch.files[i].work.dict_entries;
+            scratch.work.streamed_rows += scratch.files[i].work.streamed_rows;
+        }
+        gather_cursors(scratch, snapshot, touched, plan.referenced);
+    }
+}
+
+/// The prepared cursor in slot `(fi, si)`; cursor keys only index `Ready`
+/// slots.
+#[inline]
+fn ready(files: &[FileArena], fi: usize, si: usize) -> &PreparedSegment {
+    let SegSlot::Ready(seg) = &files[fi].slots[si] else {
+        unreachable!("cursor keys only index Ready slots");
+    };
+    seg
+}
+
+/// The delta epilogue of both scan bodies: the row store merges after the
+/// base in append order. Each visible row `accept` keeps is hashed over
+/// `attrs` and folded into `checksum` rotated by `rank`, which carries on
+/// from the base rows' count.
+fn fold_delta(
+    delta: &DeltaState,
+    attrs: impl Iterator<Item = AttrId> + Clone,
+    accept: impl Fn(&TableData, usize) -> bool,
+    checksum: &mut u64,
+    rank: &mut usize,
+) {
+    for batch in delta.batches() {
+        for i in 0..batch.data.rows {
+            if delta.is_deleted(batch.first_row_id + i as u64) || !accept(&batch.data, i) {
+                continue;
+            }
+            let mut h = FNV_OFFSET;
+            for aid in attrs.clone() {
+                h = (h ^ batch.data.columns[aid.index()].fingerprint(i)).wrapping_mul(FNV_PRIME);
+            }
+            *checksum ^= h.rotate_left((*rank % 63) as u32);
+            *rank += 1;
         }
     }
 }
@@ -569,14 +614,17 @@ fn gather_cursors(
     cursor_keys.sort_by_key(|(a, _, _)| *a);
 }
 
-/// Prepare one touched file: ready every referenced segment, walk the
-/// unreferenced ones if the file is variable-width (rows not individually
-/// addressable ⇒ the whole partition must be decoded).
+/// Prepare one touched file as `plan` asks: ready every referenced
+/// segment, walk the unreferenced ones if the file is variable-width
+/// (rows not individually addressable ⇒ the whole partition must be
+/// decoded, up to the last row read). A warm cursor is reused only if it
+/// [`PreparedSegment::serves`] the demand — one left behind by a more
+/// selective scan is re-prepared, recycling its buffer.
 fn prepare_file(
     table: &StoredTable,
     snapshot: &TableSnapshot,
     file_idx: usize,
-    referenced: AttrSet,
+    plan: Plan<'_>,
     arena: &mut FileArena,
 ) {
     let file = &snapshot.files[file_idx];
@@ -585,22 +633,37 @@ fn prepare_file(
         slots,
         lz_scratch,
         spare,
+        kept,
+        work,
     } = arena;
+    kept.clear();
+    *work = ScanWork::default();
     for (si, (aid, enc)) in file.segments.iter().enumerate() {
         let slot = &mut slots[si];
-        if referenced.contains(*aid) {
-            if !matches!(slot, SegSlot::Ready(_)) {
-                let kind = table.schema.attribute(*aid).kind;
+        if plan.referenced.contains(*aid) {
+            let kind = table.schema.attribute(*aid).kind;
+            if !matches!(slot, SegSlot::Ready(seg) if seg.serves(plan.demand)) {
+                let stale = match std::mem::take(slot) {
+                    SegSlot::Ready(seg) => seg.into_fp_buf(),
+                    _ => None,
+                };
                 // Plain segments are zero-copy and never use the buffer.
                 let fp_buf = if enc.codec == crate::compress::Codec::Plain {
                     Vec::new()
                 } else {
-                    spare.pop().unwrap_or_default()
+                    stale.or_else(|| spare.pop()).unwrap_or_default()
                 };
-                *slot = SegSlot::Ready(PreparedSegment::prepare(enc, kind, fp_buf, lz_scratch));
+                let seg = PreparedSegment::prepare(enc, kind, plan.demand, fp_buf, lz_scratch);
+                work.dict_entries += seg.table_entries() as u64;
+                work.streamed_rows += seg.streamed_rows() as u64;
+                *slot = SegSlot::Ready(seg);
+            }
+            if plan.drivers.contains(*aid) && !enc.codec.fixed_width() {
+                kept.push((si, pack_kept(enc, kind, plan.keep, lz_scratch)));
+                work.streamed_rows += plan.demand.upto as u64;
             }
         } else if need_all && matches!(slot, SegSlot::Cold) {
-            PreparedSegment::walk(enc);
+            PreparedSegment::walk(enc, plan.demand.upto);
             *slot = SegSlot::Walked;
         }
     }
@@ -874,6 +937,162 @@ mod tests {
             exec.scan_query(&bare, &disk).checksum,
             scan_naive(&t, referenced, &disk).checksum
         );
+    }
+
+    /// A range on the sequential key keeping rows `lo..=hi` (1-based key
+    /// values), projected with a random decimal, a date and two texts.
+    fn key_range(s: &TableSchema, lo: usize, hi: usize) -> Query {
+        use slicer_model::{Literal, PredClause, PredOp, Predicate};
+        let key = s.attr_id("OrdersKey").unwrap();
+        let referenced = s
+            .attr_set(&[
+                "OrdersKey",
+                "TotalPrice",
+                "OrderDate",
+                "ShipMode",
+                "Comment",
+            ])
+            .unwrap();
+        Query::new("range", referenced).with_predicate(Predicate::new(vec![
+            PredClause::new(key, PredOp::Ge, Literal::int(lo as i32)),
+            PredClause::new(key, PredOp::Le, Literal::int(hi as i32)),
+        ]))
+    }
+
+    #[test]
+    fn warm_scratch_left_by_a_selective_scan_answers_any_later_scan() {
+        // A cursor prepared for one kept chunk — a table-less dictionary
+        // cursor, a variable-width prefix — must not answer a later scan
+        // that reads other rows from what it happened to cover.
+        use crate::engine::scan_naive_query;
+        let s = schema();
+        let rows = 5 * CHUNK_ROWS + 100;
+        let data = generate_table(&s, rows, 29);
+        let disk = DiskParams::paper_testbed();
+        let full = Query::new("full", key_range(&s, 1, 1).referenced);
+        let sequence = [
+            key_range(&s, CHUNK_ROWS + 10, CHUNK_ROWS + 900), // chunk 1
+            full.clone(),
+            key_range(&s, 3 * CHUNK_ROWS + 5, 3 * CHUNK_ROWS + 6), // chunk 3
+            key_range(&s, 7, 300),                                 // chunk 0
+            key_range(&s, rows - 50, rows + 10),                   // the tail
+            key_range(&s, rows + 1, rows + 2),                     // all pruned
+            full,
+        ];
+        for policy in [
+            CompressionPolicy::None,
+            CompressionPolicy::Default,
+            CompressionPolicy::Dictionary,
+        ] {
+            for layout in layouts(&s) {
+                let t = StoredTable::load(&s, &data, &layout, policy);
+                let warm = ScanExecutor::with_mode(&t, CacheMode::Warm);
+                for (i, q) in sequence.iter().enumerate() {
+                    let oracle = scan_naive_query(&t, q, &disk);
+                    let got = warm.scan_query(q, &disk);
+                    assert_eq!(got.checksum, oracle.checksum, "{policy:?} step {i}");
+                    assert!(got.bytes_read <= oracle.bytes_read);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pruned_scan_work_follows_the_kept_chunk_not_the_table() {
+        let s = schema();
+        let rows = 50 * CHUNK_ROWS;
+        let data = generate_table(&s, rows, 31);
+        let disk = DiskParams::paper_testbed();
+        let q = key_range(&s, 20 * CHUNK_ROWS + 100, 20 * CHUNK_ROWS + 600);
+        let attrs = q.referenced.len() as u64;
+        let kept = CHUNK_ROWS as u64;
+
+        let t = StoredTable::load(
+            &s,
+            &data,
+            &Partitioning::column(&s),
+            CompressionPolicy::Dictionary,
+        );
+        let snap = t.snapshot();
+        // Entries of every referenced dictionary, and of those small
+        // enough that one chunk's rows pay for a fingerprint table.
+        let dicts: Vec<u64> = snap
+            .files
+            .iter()
+            .flat_map(|f| &f.segments)
+            .filter(|(aid, _)| q.referenced.contains(*aid))
+            .map(|(_, enc)| enc.dict_entries as u64)
+            .collect();
+        let small: u64 = dicts.iter().filter(|&&e| e <= kept).sum();
+        assert!(small > 0 && dicts.iter().any(|&e| e > kept));
+
+        let exec = ScanExecutor::new(&t);
+        let (_, pruned) = exec.scan_tallied(&snap, q.referenced, q.predicate.as_ref(), &disk);
+        assert_eq!(pruned.row_fps, kept * attrs);
+        assert!(pruned.driver_values <= kept * 2, "{pruned:?}");
+        assert_eq!(pruned.dict_entries, small);
+        assert_eq!(pruned.streamed_rows, 0);
+        // An unpredicated scan does the full work it always did.
+        let (_, full) = exec.scan_tallied(&snap, q.referenced, None, &disk);
+        let expect = ScanWork {
+            driver_values: 0,
+            dict_entries: dicts.iter().sum(),
+            streamed_rows: 0,
+            row_fps: rows as u64 * attrs,
+        };
+        assert_eq!(full, expect);
+        // Warm table-less cursors left by the pruned scan are upgraded,
+        // not reused, once a scan reads that many rows (the small tables
+        // it did build are kept).
+        let warm = ScanExecutor::with_mode(&t, CacheMode::Warm);
+        warm.scan_tallied(&snap, q.referenced, q.predicate.as_ref(), &disk);
+        let (_, upgraded) = warm.scan_tallied(&snap, q.referenced, None, &disk);
+        assert_eq!(upgraded.dict_entries, expect.dict_entries - small);
+
+        // Variable-width segments stream from the start, but stop at the
+        // end of the last kept chunk: each referenced segment once, the
+        // driver once more for its exact values (shared by both clauses).
+        let t = StoredTable::load(
+            &s,
+            &data,
+            &Partitioning::column(&s),
+            CompressionPolicy::Default,
+        );
+        let (_, pruned) = ScanExecutor::new(&t).scan_tallied(
+            &t.snapshot(),
+            q.referenced,
+            q.predicate.as_ref(),
+            &disk,
+        );
+        assert_eq!(pruned.streamed_rows, 21 * kept * (attrs + 1));
+        assert_eq!(pruned.row_fps, kept * attrs);
+        assert_eq!(pruned.dict_entries, 0);
+    }
+
+    /// Drivers are validated to be referenced before a query reaches the
+    /// executor; one that is not trips the debug assertion, and in a
+    /// release build keeps every row rather than panic a serving thread.
+    #[test]
+    #[cfg_attr(debug_assertions, should_panic(expected = "driver must be referenced"))]
+    fn unreferenced_driver_keeps_every_row_instead_of_panicking() {
+        use slicer_model::{Literal, PredClause, PredOp, Predicate};
+        let s = schema();
+        let data = generate_table(&s, 1500, 37);
+        let disk = DiskParams::paper_testbed();
+        let t = StoredTable::load(
+            &s,
+            &data,
+            &Partitioning::column(&s),
+            CompressionPolicy::Dictionary,
+        );
+        let referenced = s.attr_set(&["OrdersKey"]).unwrap();
+        // CustKey is uniform: the zone maps keep the chunk, and an
+        // evaluated clause would reject about half its rows.
+        let q = Query::new("unreferenced-driver", referenced).with_predicate(Predicate::new(vec![
+            PredClause::new(s.attr_id("CustKey").unwrap(), PredOp::Ge, Literal::int(750)),
+        ]));
+        let got = ScanExecutor::new(&t).scan_query(&q, &disk);
+        assert_eq!(got.checksum, scan_naive(&t, referenced, &disk).checksum);
     }
 
     #[test]

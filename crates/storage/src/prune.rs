@@ -30,6 +30,7 @@
 //! the literal. All tests are conservative: a kept chunk may hold no
 //! matching row, but a skipped chunk provably cannot hold one.
 
+use crate::cursor::Cell;
 use crate::data::{fnv1a, ColumnData};
 use slicer_model::{AttrKind, Literal, PredClause, PredOp};
 
@@ -175,24 +176,41 @@ pub fn literal_fingerprint(lit: &Literal) -> u64 {
     }
 }
 
+#[inline]
+fn cmp<T: Ord>(op: PredOp, v: T, lit: T) -> bool {
+    match op {
+        PredOp::Eq => v == lit,
+        PredOp::Le => v <= lit,
+        PredOp::Ge => v >= lit,
+    }
+}
+
 /// Exact residual evaluation of one clause against row `i` of the
 /// clause's column — the ground truth the chunk tests conservatively
 /// approximate. Text compares trimmed forms (the stored canonical form).
 #[inline]
 pub fn clause_matches(clause: &PredClause, col: &ColumnData, i: usize) -> bool {
-    #[inline]
-    fn cmp<T: Ord>(op: PredOp, v: T, lit: T) -> bool {
-        match op {
-            PredOp::Eq => v == lit,
-            PredOp::Le => v <= lit,
-            PredOp::Ge => v >= lit,
-        }
-    }
     match col {
         ColumnData::Int(v) => cmp(clause.op, v[i] as i64, clause.value.num),
         ColumnData::Date(v) => cmp(clause.op, v[i] as i64, clause.value.num),
         ColumnData::Decimal(v) => cmp(clause.op, v[i], clause.value.num),
         ColumnData::Text(v) => cmp(clause.op, v[i].trim_end(), clause.value.text.trim_end()),
+    }
+}
+
+/// [`clause_matches`] on a stored cell instead of a decoded column: the
+/// same verdict the clause gets on the row the naive decoder would
+/// produce from that cell (text decodes UTF-8-lossy, then trims), without
+/// materializing it.
+#[inline]
+pub(crate) fn clause_matches_cell(clause: &PredClause, cell: Cell<'_>) -> bool {
+    match cell {
+        Cell::Num(v) => cmp(clause.op, v, clause.value.num),
+        Cell::Text(padded) => cmp(
+            clause.op,
+            String::from_utf8_lossy(padded).trim_end(),
+            clause.value.text.trim_end(),
+        ),
     }
 }
 
