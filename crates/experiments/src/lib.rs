@@ -9,7 +9,6 @@
 #![warn(missing_docs)]
 
 pub mod ablations;
-pub mod bench_report;
 pub mod benchmarks_exp;
 pub mod common;
 pub mod fragility_exp;
@@ -23,9 +22,6 @@ pub mod storage_exp;
 pub mod sweet_spots;
 pub mod workload_scaling;
 
-pub use bench_report::{
-    apply_thread_count, median, parse_thread_counts, write_report, write_report_sweep, BenchStamp,
-};
 pub use common::Config;
 pub use report::{Report, ReportTable};
 

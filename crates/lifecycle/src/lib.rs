@@ -41,11 +41,10 @@
 //! TPC-H and SSB side by side — is served and re-optimized under one
 //! bounded optimization budget.
 //!
-//! The `online_bench` binary in `slicer-experiments` drives a pricing →
-//! logistics phase shift over TPC-H Lineitem through the manager, and
-//! `fleet_bench` drives a mixed TPC-H+SSB trace through the fleet under
-//! all three schedules; they record `BENCH_online.json` and
-//! `BENCH_fleet.json`.
+//! The manager's unit tests drive a pricing → logistics phase shift over
+//! TPC-H Lineitem through it, and the root package's `tests/pipeline.rs`
+//! drives a mixed TPC-H+SSB trace through the fleet under all three
+//! schedules.
 
 #![warn(missing_docs)]
 

@@ -35,7 +35,7 @@
 //!
 //! Scans run through the vectorized [`crate::executor::ScanExecutor`];
 //! the original materialize-then-iterate path survives here as
-//! [`scan_naive`], the oracle both the property tests and `scan_bench`
+//! [`scan_naive`], the oracle the property tests and the benchmark
 //! compare against.
 
 use crate::backend::{CrashPoint, Dir, StorageError};
@@ -1216,7 +1216,7 @@ pub fn scan_naive_snapshot(
 /// then reconstruct tuples row-by-row through enum dispatch. Pins the
 /// table's current snapshot and scans that.
 ///
-/// Kept verbatim as the correctness oracle and the `scan_bench` baseline;
+/// Kept verbatim as the correctness oracle;
 /// production scans go through [`crate::executor::ScanExecutor`] (or its
 /// [`crate::executor::scan`] convenience wrapper).
 pub fn scan_naive(table: &StoredTable, referenced: AttrSet, disk: &DiskParams) -> ScanResult {
@@ -1749,7 +1749,7 @@ mod tests {
         assert_ne!(f.checksum, plain.checksum);
         // The fixture is a single chunk, so only an impossible range can
         // prove pruning here; chunk-level selectivity is covered at scale
-        // by the executor tests and prune_bench.
+        // by the executor tests and the root package's storage oracle.
         let none = Predicate::new(vec![PredClause::new(date, PredOp::Le, Literal::date(-1))]);
         assert_eq!(t.prune_fraction(&none), 0.0);
         assert_eq!(

@@ -46,7 +46,7 @@
 //! that reuse a scratch, modeling a warmed decode cache.
 //!
 //! The original executor survives as [`crate::engine::scan_naive`], the
-//! oracle the property tests and `scan_bench` hold this module to.
+//! oracle the property tests and the benchmark hold this module to.
 
 use crate::cursor::{pack_kept, Demand, PreparedSegment};
 use crate::data::{TableData, FNV_OFFSET, FNV_PRIME};

@@ -13,57 +13,10 @@
 //! `iter().map(f).collect()` whenever `f` is pure.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Entry points (mirrors `rayon::prelude`).
 pub mod prelude {
     pub use crate::{IntoParallelIterator, IntoParallelRefIterator, ParIter};
-}
-
-/// Explicit worker-thread cap set via [`ThreadPoolBuilder::build_global`]
-/// (0 = unset, fall through to `RAYON_NUM_THREADS` / the hardware count).
-static THREAD_CAP: AtomicUsize = AtomicUsize::new(0);
-
-/// Error type mirrored from `rayon::ThreadPoolBuildError` (the shim's
-/// builder cannot actually fail).
-#[derive(Debug)]
-pub struct ThreadPoolBuildError(());
-
-impl std::fmt::Display for ThreadPoolBuildError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "global thread pool build error")
-    }
-}
-
-/// Mirror of `rayon::ThreadPoolBuilder`, reduced to the global worker
-/// count. One shim liberty: `build_global` may be called repeatedly to
-/// *re*-cap the effective thread count mid-process (real rayon errors on
-/// the second call; the multicore re-measure benches lean on the shim
-/// behavior to emit one record per thread count from one process).
-#[derive(Debug, Default)]
-pub struct ThreadPoolBuilder {
-    num_threads: usize,
-}
-
-impl ThreadPoolBuilder {
-    /// A builder with no explicit thread count.
-    pub fn new() -> ThreadPoolBuilder {
-        ThreadPoolBuilder::default()
-    }
-
-    /// Cap the effective worker count at `num_threads` (0 = reset to the
-    /// `RAYON_NUM_THREADS` / hardware default).
-    pub fn num_threads(mut self, num_threads: usize) -> ThreadPoolBuilder {
-        self.num_threads = num_threads;
-        self
-    }
-
-    /// Install the cap globally. Infallible in the shim (see the type
-    /// docs); the `Result` mirrors the real signature.
-    pub fn build_global(self) -> Result<(), ThreadPoolBuildError> {
-        THREAD_CAP.store(self.num_threads, Ordering::Relaxed);
-        Ok(())
-    }
 }
 
 /// Conversion into a parallel iterator (owning).
@@ -116,16 +69,11 @@ impl<'a, T: Sync + 'a> IntoParallelRefIterator<'a> for Vec<T> {
     }
 }
 
-/// Number of worker threads to fan out across: an explicit
-/// [`ThreadPoolBuilder`] cap wins, then the `RAYON_NUM_THREADS`
-/// environment variable, then the hardware parallelism. As in real rayon,
+/// Number of worker threads to fan out across: the `RAYON_NUM_THREADS`
+/// environment variable, else the hardware parallelism. As in real rayon,
 /// the variable is resolved once per process (this sits on the per-scan
 /// hot path — no env lock or allocation per call).
 pub fn current_num_threads() -> usize {
-    let cap = THREAD_CAP.load(Ordering::Relaxed);
-    if cap > 0 {
-        return cap;
-    }
     static DEFAULT: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *DEFAULT.get_or_init(|| {
         std::env::var("RAYON_NUM_THREADS")
@@ -136,8 +84,7 @@ pub fn current_num_threads() -> usize {
     })
 }
 
-/// The hardware thread count (the pool's worker-spawn upper bound,
-/// independent of any cap).
+/// The hardware thread count (the pool's worker-spawn upper bound).
 fn hardware_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -289,9 +236,8 @@ mod pool {
 
     fn workers() -> &'static Mutex<Vec<Sender<Job>>> {
         POOL.get_or_init(|| {
-            // Spawn up to the hardware parallelism, independent of any
-            // soft cap: the cap only bounds how many chunks a dispatch
-            // fans out, so it can be raised later without re-spawning.
+            // Spawn up to the hardware parallelism; `current_num_threads`
+            // only bounds how many chunks a dispatch fans out.
             let n = super::hardware_parallelism().saturating_sub(1).max(1);
             let mut senders = Vec::with_capacity(n);
             for i in 0..n {
@@ -427,26 +373,6 @@ mod tests {
             })
             .collect();
         assert_eq!(out, vec![8; 64]);
-    }
-
-    #[test]
-    fn thread_cap_bounds_current_num_threads_and_resets() {
-        let default = crate::current_num_threads();
-        crate::ThreadPoolBuilder::new()
-            .num_threads(3)
-            .build_global()
-            .expect("shim builder is infallible");
-        assert_eq!(crate::current_num_threads(), 3);
-        // Re-capping is allowed (shim liberty) and parallel maps stay
-        // order-preserving under a cap.
-        let v: Vec<u64> = (0..500).collect();
-        let out: Vec<u64> = v.clone().into_par_iter().map(|x| x + 1).collect();
-        assert_eq!(out, v.iter().map(|x| x + 1).collect::<Vec<_>>());
-        crate::ThreadPoolBuilder::new()
-            .num_threads(0)
-            .build_global()
-            .expect("reset");
-        assert_eq!(crate::current_num_threads(), default);
     }
 
     #[test]

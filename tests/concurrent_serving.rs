@@ -17,7 +17,8 @@
 //!   cold scans.
 
 use proptest::prelude::*;
-use slicer::model::{AttrKind, AttrSet, Partitioning, TableSchema};
+use slicer::model::{AttrKind, AttrSet, Partitioning, Query, TableSchema};
+use slicer::prelude::{HddCostModel, HillClimb, TableManager, TableManagerConfig};
 use slicer::storage::{
     generate_table, scan_naive, scan_naive_snapshot, CacheMode, CompressionPolicy, ScanExecutor,
     StoredTable,
@@ -312,6 +313,56 @@ fn pinned_snapshots_are_immortal_while_held() {
     assert_eq!(before.checksum, after.checksum);
     assert_eq!(before.bytes_read, after.bytes_read);
     assert_eq!(before.io_seconds.to_bits(), after.io_seconds.to_bits());
+}
+
+#[test]
+fn serve_front_drain_racing_layout_flips_matches_the_oracle() {
+    // The manager's multi-threaded drain with row <-> column flips
+    // published mid-drain: its order-deterministic checksum accumulator
+    // equals a sequential `scan_naive` pass over the same stream. A drain
+    // can finish before the first flip lands, so drain until one spans
+    // two generations.
+    let mut state = 77u64;
+    let (schema, rows) = random_schema(&mut state);
+    let data = generate_table(&schema, rows, 7);
+    let disk = DiskParams::paper_testbed();
+    let layouts = [Partitioning::row(&schema), Partitioning::column(&schema)];
+    let table = StoredTable::load(&schema, &data, &layouts[0], CompressionPolicy::Default);
+    let stream: Vec<Query> = (0..96)
+        .map(|i| Query::new(format!("q{i}"), random_projection(&mut state, &schema)))
+        .collect();
+    let oracle = stream.iter().enumerate().fold(0u64, |acc, (i, q)| {
+        acc ^ scan_naive(&table, q.referenced, &disk)
+            .checksum
+            .rotate_left((i % 63) as u32)
+    });
+    let mut manager = TableManager::new(
+        table,
+        Box::new(HillClimb::new()),
+        HddCostModel::paper_testbed(),
+        TableManagerConfig {
+            advise_every: u64::MAX, // the test flips layouts itself
+            ..TableManagerConfig::default()
+        },
+    );
+    let handle = manager.table_handle();
+    let raced = (0..16).any(|_| {
+        let (report, ()) = manager
+            .serve_batch_with(&stream, 4, |_| {
+                for k in 0..8 {
+                    handle.repartition(&layouts[(k + 1) % 2], &disk);
+                    std::thread::yield_now();
+                }
+            })
+            .expect("stream fits the schema");
+        assert_eq!(report.queries, stream.len() as u64);
+        assert_eq!(
+            report.checksum, oracle,
+            "a drained scan read the wrong data"
+        );
+        report.max_generation > report.min_generation
+    });
+    assert!(raced, "no flip landed mid-drain in 16 drains");
 }
 
 proptest! {

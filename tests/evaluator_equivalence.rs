@@ -140,6 +140,29 @@ proptest! {
     }
 }
 
+/// The paper-scale case the random specs above never reach: HillClimb on
+/// the 16-attribute TPC-H SF10 Lineitem workload lands on the same layout
+/// through both paths, and that layout is pinned.
+#[test]
+fn hillclimb_on_tpch_lineitem_matches_naive_and_is_pinned() {
+    let b = tpch::benchmark(10.0);
+    let li = b.table_index("Lineitem").expect("TPC-H has Lineitem");
+    let schema = &b.tables()[li];
+    let workload = b.table_workload(li);
+    let m = HddCostModel::paper_testbed();
+    let fast = PartitionRequest::new(schema, &workload, &m);
+    let naive = fast.with_naive_evaluation();
+    let a = HillClimb::new().partition(&fast).expect("evaluator path");
+    let b = HillClimb::new().partition(&naive).expect("naive path");
+    assert_eq!(a, b, "evaluator {a} vs naive {b}");
+    assert_eq!(
+        a.render(schema),
+        "[P1(OrderKey) | P2(PartKey) | P3(SuppKey) | P4(LineNumber) | P5(Quantity) | \
+         P6(ExtendedPrice,Discount) | P7(Tax,LineStatus) | P8(ReturnFlag) | P9(ShipDate) | \
+         P10(CommitDate,ReceiptDate) | P11(ShipInstruct) | P12(ShipMode) | P13(Comment)]"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
     #[test]

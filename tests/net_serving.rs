@@ -340,11 +340,12 @@ fn predicated_wire_scans_prune_bytes_and_match_the_query_oracle() {
         reply.checksum, want_checksum,
         "wire result diverges from oracle"
     );
-    // The wire path actually pruned: fewer bytes than the unpruned
-    // predicate oracle, and a server-stamped fraction well under 1.
+    // The wire path actually pruned: at least 5x fewer bytes than the
+    // unpruned predicate oracle (7.9x here: 2 of 60 chunks kept), and a
+    // server-stamped fraction well under 1.
     assert!(
-        reply.bytes_read < unpruned_bytes,
-        "wire scan read {} B, oracle {} B — predicate was dropped on the wire",
+        reply.bytes_read * 5 <= unpruned_bytes,
+        "wire scan read {} B, oracle {} B — under a 5x cut, predicate dropped on the wire?",
         reply.bytes_read,
         unpruned_bytes
     );
