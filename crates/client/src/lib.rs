@@ -30,6 +30,7 @@
 //! anyway.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use slicer_model::Query;
 use slicer_net::frame::{

@@ -16,6 +16,7 @@
 //! Everything here is deterministic; no randomness, no global state.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod bea;
 mod graphpart;

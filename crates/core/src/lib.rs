@@ -19,6 +19,7 @@
 //! enumerable through [`all_advisors`] / [`paper_advisors`].
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod advisor;
 mod autopart;

@@ -16,6 +16,7 @@
 //!   seek, 8 KB blocks, 8 MB buffer).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod eval;
 mod hdd;

@@ -7,6 +7,7 @@
 //! for paper-versus-measured results.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod ablations;
 pub mod benchmarks_exp;

@@ -133,7 +133,9 @@ mod tests {
     fn threshold_claim_holds_on_the_real_scan_path() {
         use slicer_cost::CostModel;
         use slicer_model::{Literal, Partitioning, PredClause, PredOp, Predicate, Query};
-        use slicer_storage::{generate_table, scan_naive_query, CompressionPolicy, StoredTable};
+        use slicer_storage::{
+            generate_table, scan_naive_query_snapshot, CompressionPolicy, StoredTable,
+        };
 
         let rows = 40_000usize;
         let schema = TableSchema::builder("L", rows as u64)
@@ -160,8 +162,9 @@ mod tests {
         let bytes = |table: &StoredTable, pred: &Predicate| -> u64 {
             let q = Query::new("sel", schema.all_attrs()).with_predicate(pred.clone());
             let exec = slicer_storage::ScanExecutor::new(table);
-            let got = exec.scan_query(&q, &disk);
-            let oracle = scan_naive_query(table, &q, &disk);
+            let snapshot = table.snapshot();
+            let got = exec.scan_query_snapshot(&snapshot, &q, &disk);
+            let oracle = scan_naive_query_snapshot(&snapshot, &q, &disk);
             assert_eq!(
                 got.checksum, oracle.checksum,
                 "pruned scan must match oracle"
@@ -181,7 +184,7 @@ mod tests {
         // the measured skip probability.
         let model = HddCostModel::new(DiskParams::paper_testbed());
         let stamped = |pred: &Predicate, table: &StoredTable| -> Query {
-            let kept = table.prune_fraction(pred);
+            let kept = table.snapshot().prune_fraction(pred);
             Query::new("sel", schema.all_attrs())
                 .with_predicate(pred.clone().with_kept_fraction(kept))
         };

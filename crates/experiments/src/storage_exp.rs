@@ -70,11 +70,12 @@ pub fn table7(cfg: &Config) -> Report {
                 // re-decodes (the paper's cold caches), the scratch arenas
                 // are reused across the workload.
                 let exec = ScanExecutor::new(&table);
+                let snapshot = table.snapshot();
                 for q in workload.queries() {
                     if q.name == "Q9" {
                         continue; // paper footnote 4
                     }
-                    let r = exec.scan(q.referenced, &disk);
+                    let r = exec.scan_query_snapshot(&snapshot, q, &disk);
                     totals[li] += q.weight * (r.io_seconds + r.cpu_seconds);
                 }
             }

@@ -34,14 +34,11 @@
 //! above one whose window is unchanged.
 
 use crate::manager::{RealizedPayoff, RepartitionDecision, ServeBatchReport, TableManager};
+use crate::serve::ScanTarget;
 use slicer_core::{Budget, BudgetPool, SessionStats};
-use slicer_cost::DiskParams;
 use slicer_model::{ModelError, Query};
-use slicer_storage::{
-    IngestBatch, IngestStats, ScanResult, StorageError, StoredTable, TableSnapshot,
-};
+use slicer_storage::{IngestBatch, IngestStats, ScanResult, StorageError, TableSnapshot};
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// How a fleet spends its per-round advisor budget across its tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -200,16 +197,6 @@ impl FleetEntry {
     }
 }
 
-/// One table's scan endpoint, handed to an external serve front (see
-/// [`TableFleet::scan_target`]).
-#[derive(Clone)]
-pub struct ScanTarget {
-    /// Shared handle to the stored table; valid across repartitions.
-    pub table: Arc<StoredTable>,
-    /// The simulated disk scans of this table are priced on.
-    pub disk: DiskParams,
-}
-
 /// What one routed query triggered fleet-wide.
 #[derive(Debug)]
 pub enum FleetOutcome {
@@ -345,11 +332,7 @@ impl TableFleet {
             .ok_or_else(|| ModelError::UnknownTable {
                 table: table.to_string(),
             })?;
-        let entry = &self.entries[idx];
-        Ok(ScanTarget {
-            table: entry.manager.table_handle(),
-            disk: entry.manager.disk(),
-        })
+        Ok(self.entries[idx].manager.target())
     }
 
     /// Book one externally-executed scan into the fleet: per-table stats,
@@ -472,26 +455,18 @@ impl TableFleet {
                 .ok_or_else(|| ModelError::UnknownTable {
                     table: table.clone(),
                 })?;
-            query.validate(&self.entries[idx].manager.table().schema)?;
+            self.entries[idx].manager.target().validate(query.clone())?;
             routed.push(idx);
         }
-        let tables: Vec<Arc<StoredTable>> = self
-            .entries
-            .iter()
-            .map(|e| e.manager.table_handle())
-            .collect();
-        let disks: Vec<_> = self.entries.iter().map(|e| e.manager.disk()).collect();
+        let targets: Vec<ScanTarget> = self.entries.iter().map(|e| e.manager.target()).collect();
         let queries: Vec<Query> = events.iter().map(|(_, q)| q.clone()).collect();
         let (drained, wall_seconds, overlap_out) =
-            crate::serve::drain_batch(&tables, &disks, &routed, &queries, threads, || {
-                overlap(self)
-            });
+            crate::serve::drain_batch(&targets, &routed, &queries, threads, || overlap(self));
         let report = crate::serve::fold_report(&drained, threads, wall_seconds, 0);
-        for (i, (_, query)) in events.iter().enumerate() {
-            let (result, snapshot) = &drained[i];
-            self.entries[routed[i]]
+        for (idx, ev) in routed.into_iter().zip(drained) {
+            self.entries[idx]
                 .manager
-                .record_served(query.clone(), result, snapshot);
+                .record_served(ev.query, &ev.result, &ev.snapshot);
             self.stats.queries += 1;
         }
         Ok((report, overlap_out))

@@ -19,12 +19,16 @@
 //!   configured horizon;
 //! * adoption happens through [`slicer_storage::StoredTable::repartition`],
 //!   the zero-stall double-buffered incremental re-slice, not a full
-//!   reload — and the serve front ([`TableManager::serve_batch_with`],
-//!   [`TableFleet::serve_batch_with`]) drains query batches across worker
+//!   reload — and the batch fronts ([`TableManager::serve_batch_with`],
+//!   [`TableFleet::serve_batch_with`]) drain query batches across worker
 //!   threads *while* advise rounds and re-partitions proceed on the
 //!   calling thread, with per-table [`RealizedPayoff`] ledgers tracking
 //!   what each adopted move invested versus what the traffic served since
-//!   actually saved.
+//!   actually saved;
+//! * every serve front — [`TableManager::serve`], both batch drains and
+//!   the network server — reads through one path,
+//!   [`ScanTarget::pin`] → scan → book: the query is stamped from the
+//!   snapshot it scans, so the window prices what the scan really read.
 //!
 //! The lifecycle also owns the *write* path: [`TableManager::ingest`] and
 //! [`TableFleet::ingest`] route [`slicer_storage::IngestBatch`]es into the
@@ -47,15 +51,15 @@
 //! schedules.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod fleet;
 mod manager;
 mod serve;
 
-pub use fleet::{
-    DriftScore, FleetConfig, FleetOutcome, FleetSchedule, FleetStats, ScanTarget, TableFleet,
-};
+pub use fleet::{DriftScore, FleetConfig, FleetOutcome, FleetSchedule, FleetStats, TableFleet};
 pub use manager::{
     AdoptionPricing, ManagerStats, RealizedPayoff, RepartitionDecision, RepartitionEvent,
     ServeBatchReport, TableManager, TableManagerConfig,
 };
+pub use serve::{ScanTarget, ServedScan};

@@ -1,5 +1,6 @@
 //! The [`TableManager`]: one live table, served and re-sliced online.
 
+use crate::serve::ScanTarget;
 use slicer_core::{Advisor, AdvisorSession, Budget, PartitionRequest, SessionStats};
 use slicer_cost::{CostModel, DiskParams, EvalMemos, HddCostModel};
 use slicer_metrics::Payoff;
@@ -300,10 +301,13 @@ impl TableManager {
         self.realized
     }
 
-    /// The simulated disk the manager scans against (shared with a fleet
-    /// serve front that scans on this manager's behalf).
-    pub(crate) fn disk(&self) -> DiskParams {
-        self.disk
+    /// The managed table's scan endpoint (shared with a fleet serve front
+    /// that scans on this manager's behalf).
+    pub(crate) fn target(&self) -> ScanTarget {
+        ScanTarget {
+            table: Arc::clone(&self.table),
+            disk: self.disk,
+        }
     }
 
     /// The simulated disk parameters, for an external serve front (e.g. a
@@ -350,27 +354,17 @@ impl TableManager {
     /// a fleet front end that schedules advisor sessions centrally calls
     /// this per query and decides itself when (and with what budget) each
     /// table gets advised.
+    ///
+    /// A predicated query is stamped from the snapshot it scans
+    /// ([`ScanTarget::pin`]), so the windowed copy prices through
+    /// [`CostModel::query_groups_cost_pruned`] with the skip this scan
+    /// measured rather than a guess.
     pub fn serve(&mut self, query: Query) -> Result<ScanResult, ModelError> {
-        query.validate(&self.table.schema)?;
-        let query = self.stamp_prune(query);
-        let snapshot = self.table.snapshot();
+        let (query, snapshot) = self.target().pin(query)?;
         let result =
             ScanExecutor::new(&self.table).scan_query_snapshot(&snapshot, &query, &self.disk);
         self.record_served(query, &result, &snapshot);
         Ok(result)
-    }
-
-    /// Stamp a predicated query's skip probability from the table's own
-    /// pruning metadata (the fraction of chunk rows its zone maps + blooms
-    /// cannot rule out), so the windowed copy of this query prices through
-    /// [`CostModel::query_groups_cost_pruned`] with a *measured* estimate
-    /// rather than a guess. Predicate-less queries pass through untouched.
-    fn stamp_prune(&self, mut query: Query) -> Query {
-        if let Some(p) = query.predicate.take() {
-            let fraction = self.table.prune_fraction(&p);
-            query.predicate = Some(p.with_kept_fraction(fraction));
-        }
-        query
     }
 
     /// Book one externally-executed scan into the manager: stats, realized
@@ -429,8 +423,9 @@ impl TableManager {
     /// an advise round or force a re-partition *during* the drain; the
     /// zero-stall snapshot swap means no worker ever blocks on it.
     ///
-    /// Every scan pins the table snapshot current at its start and is
-    /// bit-identical to `scan_naive` on that same snapshot. Results are
+    /// Every scan pins the table snapshot current at its start, is stamped
+    /// from it ([`ScanTarget::pin`]) and is bit-identical to
+    /// `scan_naive_query_snapshot` on that same snapshot. Results are
     /// folded into the manager (stats, window, payoff accrual) in batch
     /// order after the drain, so downstream advising is deterministic for
     /// a given batch regardless of thread interleaving. The report's
@@ -449,28 +444,21 @@ impl TableManager {
         threads: usize,
         overlap: impl FnOnce(&mut TableManager) -> R,
     ) -> Result<(ServeBatchReport, R), ModelError> {
+        let targets = [self.target()];
         for q in queries {
-            q.validate(&self.table.schema)?;
+            targets[0].validate(q.clone())?;
         }
-        let queries: Vec<Query> = queries
-            .iter()
-            .map(|q| self.stamp_prune(q.clone()))
-            .collect();
-        let tables = [Arc::clone(&self.table)];
-        let disks = [self.disk];
         let routed = vec![0usize; queries.len()];
         let (events, wall_seconds, overlap_out) =
-            crate::serve::drain_batch(&tables, &disks, &routed, &queries, threads, || {
-                overlap(self)
-            });
+            crate::serve::drain_batch(&targets, &routed, queries, threads, || overlap(self));
         let report = crate::serve::fold_report(
             &events,
             threads,
             wall_seconds,
             self.table.snapshot().generation,
         );
-        for (query, (result, snapshot)) in queries.iter().zip(&events) {
-            self.record_served(query.clone(), result, snapshot);
+        for ev in events {
+            self.record_served(ev.query, &ev.result, &ev.snapshot);
         }
         Ok((report, overlap_out))
     }
@@ -645,7 +633,7 @@ mod tests {
     use super::*;
     use slicer_core::HillClimb;
     use slicer_model::TableSchema;
-    use slicer_storage::{generate_table, scan_naive, CompressionPolicy};
+    use slicer_storage::{generate_table, scan_naive_query_snapshot, CompressionPolicy};
     use slicer_workloads::tpch;
 
     const ROWS: usize = 4000;
@@ -739,8 +727,8 @@ mod tests {
         let fresh = StoredTable::load(&schema, &data, &m.layout(), CompressionPolicy::Default);
         let disk = HddCostModel::paper_testbed().params();
         for q in [pricing(&schema), logistics(&schema)] {
-            let a = scan_naive(m.table(), q.referenced, &disk);
-            let b = scan_naive(&fresh, q.referenced, &disk);
+            let a = scan_naive_query_snapshot(&m.table().snapshot(), &q, &disk);
+            let b = scan_naive_query_snapshot(&fresh.snapshot(), &q, &disk);
             assert_eq!(a.checksum, b.checksum);
             assert_eq!(a.bytes_read, b.bytes_read);
         }
@@ -975,8 +963,8 @@ mod tests {
             )]));
         // Served scans are bit-identical to the predicate-filtered oracle.
         let served = m.serve(narrow.clone()).unwrap();
-        let oracle = slicer_storage::scan_naive_query(
-            m.table(),
+        let oracle = scan_naive_query_snapshot(
+            &m.table().snapshot(),
             &narrow,
             &HddCostModel::paper_testbed().params(),
         );

@@ -18,8 +18,11 @@ use slicer_lifecycle::{
     FleetConfig, FleetOutcome, FleetSchedule, RepartitionDecision, TableFleet, TableManager,
     TableManagerConfig,
 };
-use slicer_model::{AttrKind, AttrSet, ModelError, Partitioning, Query, TableSchema};
-use slicer_storage::{generate_table, scan_naive, CompressionPolicy, StoredTable};
+use slicer_model::{
+    AttrKind, AttrSet, Literal, ModelError, Partitioning, PredClause, PredOp, Predicate, Query,
+    TableSchema,
+};
+use slicer_storage::{generate_table, scan_naive_query_snapshot, CompressionPolicy, StoredTable};
 
 /// Deterministic splitmix-style stream over a test seed.
 fn next(state: &mut u64) -> u64 {
@@ -286,7 +289,7 @@ proptest! {
             let (scan, _) = fleet.execute(name, q.clone()).expect("fits schema");
             fleet_sum[t].0 ^= scan.checksum.rotate_left((i % 63) as u32);
             fleet_sum[t].1 += 1;
-            let oracle = scan_naive(stored, q.referenced, &disk);
+            let oracle = scan_naive_query_snapshot(&stored.snapshot(), &q, &disk);
             oracle_sum[t].0 ^= oracle.checksum.rotate_left((i % 63) as u32);
             oracle_sum[t].1 += 1;
         }
@@ -469,7 +472,10 @@ fn fleet_serve_batch_matches_sequential_execution() {
     // The multi-threaded routed drain must deliver exactly what the
     // sequential router delivers: same per-event checksums (accumulated
     // in order), same per-table served counts, same window contents —
-    // with an advise round running mid-drain on the serving fleet.
+    // with an advise round running mid-drain on the serving fleet. Part
+    // of the stream carries predicates, so the windows match only if the
+    // drain books each query stamped from the snapshot it scanned, as
+    // `execute` does.
     let mut state = 21u64;
     let tables = 3usize;
     let cfg = TableManagerConfig {
@@ -497,7 +503,8 @@ fn fleet_serve_batch_matches_sequential_execution() {
     let events: Vec<(String, Query)> = (0..48u64)
         .map(|i| {
             let (name, schema) = &schemas[(next(&mut state) % tables as u64) as usize];
-            (name.clone(), random_query(&mut state, schema, i))
+            let q = random_query(&mut state, schema, i);
+            (name.clone(), with_predicate(q, schema, i))
         })
         .collect();
 
@@ -535,6 +542,41 @@ fn fleet_serve_batch_matches_sequential_execution() {
                 .queries,
             "per-table served counts diverge for {name}"
         );
+        let drained = concurrent.manager(name).expect("registered").window();
+        let executed = sequential.manager(name).expect("registered").window();
+        assert_eq!(drained.len(), executed.len(), "window length of {name}");
+        for (d, e) in drained.queries().iter().zip(executed.queries()) {
+            assert_eq!(d, e, "window of {name} diverges");
+            assert_eq!(
+                d.predicate.as_ref().map(|p| p.kept_fraction.to_bits()),
+                e.predicate.as_ref().map(|p| p.kept_fraction.to_bits()),
+                "{name}: {} booked with another kept_fraction",
+                d.name
+            );
+        }
     }
     assert_eq!(concurrent.stats().queries, 48);
+}
+
+/// Give every third event a one-clause predicate on its first numeric
+/// attribute that no generated row passes (values are never negative),
+/// and every third one that every row passes; the rest stay bare.
+fn with_predicate(q: Query, schema: &TableSchema, tag: u64) -> Query {
+    let numeric = q.referenced.iter().find(|&a| {
+        matches!(
+            schema.attribute(a).kind,
+            AttrKind::Int | AttrKind::Date | AttrKind::Decimal
+        )
+    });
+    let (attr, op, bound) = match (numeric, tag % 3) {
+        (Some(attr), 0) => (attr, PredOp::Le, -1),
+        (Some(attr), 1) => (attr, PredOp::Ge, 0),
+        _ => return q,
+    };
+    let value = match schema.attribute(attr).kind {
+        AttrKind::Int => Literal::int(bound),
+        AttrKind::Date => Literal::date(bound),
+        _ => Literal::decimal(bound.into()),
+    };
+    q.with_predicate(Predicate::new(vec![PredClause::new(attr, op, value)]))
 }

@@ -14,6 +14,7 @@
 //!   [`payoff`] (Figure 10).
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod fragility;
 pub mod payoff;

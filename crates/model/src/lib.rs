@@ -18,6 +18,7 @@
 //! Algorithms live in `slicer-core`; cost models in `slicer-cost`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod attrset;
 #[allow(missing_docs)]

@@ -26,6 +26,7 @@
 //! [`WireStream`] abstraction.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod fault;
 pub mod frame;

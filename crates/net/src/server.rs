@@ -37,11 +37,10 @@ use crate::frame::{
 };
 use crate::slowlog::SlowQueryLog;
 use slicer_cost::{CostModel, HddCostModel};
-use slicer_lifecycle::{ScanTarget, TableFleet};
+use slicer_lifecycle::{ScanTarget, ServedScan, TableFleet};
 use slicer_model::{AttrSet, Partitioning, Predicate, Query};
 use slicer_storage::{
-    decode_ingest_batch, encode_ingest_batch, ReplOp, ScanExecutor, ScanResult, StorageError,
-    TableSnapshot,
+    decode_ingest_batch, encode_ingest_batch, ReplOp, ScanExecutor, StorageError,
 };
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -147,14 +146,6 @@ struct FleetCore {
     ledger: HashMap<u64, (u64, Response)>,
 }
 
-/// One served scan waiting to be folded into the fleet's serve metrics.
-struct PendingScan {
-    table: String,
-    query: Query,
-    result: ScanResult,
-    snapshot: Arc<TableSnapshot>,
-}
-
 /// Max records shipped per [`Response::ReplBatch`] frame — bounds frame
 /// size and keeps a far-behind follower's catch-up incremental.
 const REPL_CHUNK: usize = 512;
@@ -252,7 +243,9 @@ struct Shared {
     cfg: ServerConfig,
     routes: HashMap<String, ScanTarget>,
     core: Mutex<FleetCore>,
-    pending: Mutex<Vec<PendingScan>>,
+    /// Served scans, by table, waiting to be folded into the fleet's
+    /// serve metrics.
+    pending: Mutex<Vec<(String, ServedScan)>>,
     slow: Mutex<SlowQueryLog>,
     counters: NetCounters,
     /// Modeled µs of scan work currently in flight (admission signal).
@@ -266,18 +259,18 @@ struct Shared {
 impl Shared {
     /// Fold every queued scan into the fleet. Callers hold the core lock.
     fn drain_pending(&self, core: &mut FleetCore) {
-        let drained: Vec<PendingScan> = {
+        let drained: Vec<(String, ServedScan)> = {
             let mut pending = self.pending.lock().unwrap_or_else(|e| e.into_inner());
             std::mem::take(&mut *pending)
         };
-        for p in drained {
+        for (table, s) in drained {
             // The route existed at serve time; a record failure would mean
             // the fleet lost a table mid-flight, which TableFleet does not
             // support — surface it loudly in debug builds, drop the sample
             // in release.
             let recorded = core
                 .fleet
-                .record_scan(&p.table, p.query, &p.result, &p.snapshot);
+                .record_scan(&table, s.query, &s.result, &s.snapshot);
             debug_assert!(recorded.is_ok());
         }
     }
@@ -398,26 +391,15 @@ fn handle_scan(
     }
     let referenced: AttrSet = attrs.iter().map(|&a| a as usize).collect();
     let mut query = Query::weighted(query_name, referenced, weight);
-    if let Some(p) = predicate {
-        // Discard the client's kept_fraction outright (it is an untrusted
-        // estimate and must not even be able to fail validation); the
-        // honest fraction is re-stamped from the pinned snapshot below.
-        query = query.with_predicate(p.with_kept_fraction(1.0));
-    }
-    if let Err(e) = query.validate(&target.table.schema) {
-        return shared.typed_error(ErrorCode::InvalidQuery, 0, e.to_string());
-    }
-
-    let snapshot = target.table.snapshot();
-    // Re-stamp server-side from the exact snapshot the scan will read —
-    // the same discipline TableManager::stamp_prune applies in-process.
-    // Validation above already proved every clause attribute and literal
-    // kind fits the schema, so the pruning metadata lookup cannot stray.
-    let kept_fraction = query.predicate.take().map(|p| {
-        let fraction = snapshot.prune_fraction(&p);
-        query.predicate = Some(p.with_kept_fraction(fraction));
-        fraction
-    });
+    query.predicate = predicate;
+    // The read path every front shares: the client's kept_fraction is
+    // discarded, the query validated, and the predicate re-stamped from
+    // the exact snapshot the scan will read.
+    let (query, snapshot) = match target.pin(query) {
+        Ok(pinned) => pinned,
+        Err(e) => return shared.typed_error(ErrorCode::InvalidQuery, 0, e.to_string()),
+    };
+    let kept_fraction = query.predicate.as_ref().map(|p| p.kept_fraction);
     let est_micros = modeled_micros(shared.cfg.cost.query_cost(
         &target.table.schema,
         &snapshot.layout,
@@ -469,12 +451,14 @@ fn handle_scan(
         .pending
         .lock()
         .unwrap_or_else(|e| e.into_inner())
-        .push(PendingScan {
+        .push((
             table,
-            query,
-            result,
-            snapshot: Arc::clone(&snapshot),
-        });
+            ServedScan {
+                query,
+                result,
+                snapshot: Arc::clone(&snapshot),
+            },
+        ));
     // Opportunistic fold: never wait on an advise round for bookkeeping.
     if let Ok(mut core) = shared.core.try_lock() {
         shared.drain_pending(&mut core);
@@ -1418,10 +1402,10 @@ impl ServerHandle {
             .pending
             .into_inner()
             .unwrap_or_else(|e| e.into_inner());
-        for p in pending {
+        for (table, s) in pending {
             let _ = core
                 .fleet
-                .record_scan(&p.table, p.query, &p.result, &p.snapshot);
+                .record_scan(&table, s.query, &s.result, &s.snapshot);
         }
         core.fleet
     }

@@ -23,27 +23,28 @@
 //! # The snapshot model
 //!
 //! The file set of a [`StoredTable`] is an immutable [`TableSnapshot`]
-//! behind a lock-free [`crate::snapshot::SnapshotCell`]. Scans take
-//! `&self`: they [`StoredTable::snapshot`]-pin the current snapshot and
-//! read only that, so any number of threads scan concurrently.
+//! behind a `Mutex<Arc<TableSnapshot>>`. The lock is held only to clone
+//! or swap the `Arc`, never across a scan or a build. Scans take `&self`:
+//! they [`StoredTable::snapshot`]-pin the current snapshot and read only
+//! that, so any number of threads scan concurrently.
 //! [`StoredTable::repartition`] also takes `&self`: it is
 //! **double-buffered** — the re-sliced partition files are built *beside*
 //! the live ones (files whose attribute group is unchanged are shared by
-//! `Arc` pointer, not copied), then published with one atomic swap.
-//! In-flight scans finish on the snapshot they pinned; scans that start
-//! after the swap see the new layout; nobody ever waits for the move.
+//! `Arc` pointer, not copied), then published with one swap. In-flight
+//! scans finish on the snapshot they pinned; scans that start after the
+//! swap see the new layout; no scan waits for the move, only for the
+//! pointer swap itself.
 //!
 //! Scans run through the vectorized [`crate::executor::ScanExecutor`];
 //! the original materialize-then-iterate path survives here as
-//! [`scan_naive`], the oracle the property tests and the benchmark
-//! compare against.
+//! [`scan_naive_query_snapshot`], the oracle the property tests and the
+//! benchmark compare against.
 
 use crate::backend::{CrashPoint, Dir, StorageError};
 use crate::compress::{decode, default_codec, encode, Codec, EncodedColumn};
 use crate::data::{ColumnData, TableData, FNV_OFFSET, FNV_PRIME};
 use crate::delta::{fold_data, validate_batch, DeltaState, IngestBatch};
 use crate::prune::{clause_matches, literal_fingerprint, literal_key, ColumnPrune, CHUNK_ROWS};
-use crate::snapshot::SnapshotCell;
 use crate::wal::{
     decode_manifest, decode_partition_file, decode_wal, encode_manifest, encode_partition_file,
     encode_record, part_name, wal_name, Manifest, RecoveryReport, WalRecord, MANIFEST,
@@ -239,8 +240,11 @@ pub struct StoredTable {
     /// The compression policy the segments were encoded under (reused by
     /// [`StoredTable::repartition`]).
     pub policy: CompressionPolicy,
-    /// The current snapshot (lock-free swap on publication).
-    snapshot: SnapshotCell<TableSnapshot>,
+    /// The current snapshot. The lock is held only to clone or swap the
+    /// `Arc`: see [`StoredTable::snapshot`] and [`StoredTable::publish`].
+    /// A poisoned lock is recovered: its one update is a whole-`Arc`
+    /// swap, which never leaves the value half-written.
+    current: Mutex<Arc<TableSnapshot>>,
     /// Serializes writers (ingest and re-partition builders) and guards
     /// the durable bookkeeping; readers never touch it. `None` for a
     /// purely in-memory table.
@@ -372,7 +376,7 @@ impl StoredTable {
         StoredTable {
             schema: schema.clone(),
             policy,
-            snapshot: SnapshotCell::new(Arc::new(TableSnapshot {
+            current: Mutex::new(Arc::new(TableSnapshot {
                 layout: layout.clone(),
                 files,
                 generation: 0,
@@ -427,7 +431,7 @@ impl StoredTable {
         dir: Arc<dyn Dir>,
     ) -> Result<StoredTable, StorageError> {
         let table = StoredTable::load(schema, data, layout, policy);
-        let snapshot = table.snapshot.load();
+        let snapshot = table.snapshot();
         let mut file_names = Vec::with_capacity(snapshot.files.len());
         for (i, f) in snapshot.files.iter().enumerate() {
             let name = part_name(0, i);
@@ -574,7 +578,7 @@ impl StoredTable {
         let table = StoredTable {
             schema: schema.clone(),
             policy: manifest.policy,
-            snapshot: SnapshotCell::new(Arc::new(TableSnapshot {
+            current: Mutex::new(Arc::new(TableSnapshot {
                 layout,
                 files,
                 generation: manifest.generation,
@@ -609,7 +613,7 @@ impl StoredTable {
         disk: &DiskParams,
     ) -> Result<IngestStats, StorageError> {
         let mut state = self.move_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let base = self.snapshot.load();
+        let base = self.snapshot();
         let total_rows = (base.source.rows + base.delta.rows()) as u64;
         let normalized = validate_batch(&self.schema, batch, total_rows, &base.delta)?;
         if normalized.is_empty() {
@@ -641,13 +645,13 @@ impl StoredTable {
             delta_rows: delta.rows() as u64,
             delta_bytes: delta.stored_bytes(),
         };
-        self.snapshot.store(Arc::new(TableSnapshot {
+        self.publish(TableSnapshot {
             layout: base.layout.clone(),
             files: base.files.clone(),
             generation: base.generation + 1,
             delta,
             source: Arc::clone(&base.source),
-        }));
+        });
         self.emit_repl(ReplEvent {
             generation: base.generation + 1,
             op: ReplOp::Ingest(normalized),
@@ -657,15 +661,30 @@ impl StoredTable {
 
     /// Pin the current snapshot. The returned snapshot is immutable and
     /// valid forever; a concurrent [`StoredTable::repartition`] publishes
-    /// a *new* snapshot without disturbing pinned ones.
+    /// a *new* snapshot without disturbing pinned ones. The lock is held
+    /// for one `Arc` clone.
     pub fn snapshot(&self) -> Arc<TableSnapshot> {
-        self.snapshot.load()
+        Arc::clone(&self.current.lock().unwrap_or_else(|e| e.into_inner()))
+    }
+
+    /// Make `next` the current snapshot. Callers hold the move lock, which
+    /// serializes writers. The lock on the current pointer is held for the
+    /// swap only: the superseded snapshot is dropped after the guard is
+    /// released, so freeing the last pin on an old file set never holds
+    /// up a reader.
+    fn publish(&self, next: TableSnapshot) {
+        let next = Arc::new(next);
+        let superseded = std::mem::replace(
+            &mut *self.current.lock().unwrap_or_else(|e| e.into_inner()),
+            next,
+        );
+        drop(superseded);
     }
 
     /// The layout currently stored (of the snapshot current *now*; a
     /// concurrent re-partition may publish a newer one at any moment).
     pub fn layout(&self) -> Partitioning {
-        self.snapshot.load().layout.clone()
+        self.snapshot().layout.clone()
     }
 
     /// Re-slice the table into `layout` **without stalling readers**:
@@ -707,7 +726,7 @@ impl StoredTable {
     pub fn repartition(&self, layout: &Partitioning, disk: &DiskParams) -> RepartitionStats {
         let mut state = self.move_lock.lock().unwrap_or_else(|e| e.into_inner());
         let start = Instant::now();
-        let base = self.snapshot.load();
+        let base = self.snapshot();
         let fold = !base.delta.is_empty();
         let files_kept;
         let files_rebuilt;
@@ -848,14 +867,14 @@ impl StoredTable {
             durable.next_seq = first_seq + 1;
         }
 
-        // Publish: one atomic swap. In-flight scans keep their pins.
-        self.snapshot.store(Arc::new(TableSnapshot {
+        // Publish: one pointer swap. In-flight scans keep their pins.
+        self.publish(TableSnapshot {
             layout: layout.clone(),
             files: new_files,
             generation: base.generation + 1,
             delta: DeltaState::default(),
             source: new_source,
-        }));
+        });
         self.emit_repl(ReplEvent {
             generation: base.generation + 1,
             op: ReplOp::Publish(layout.clone()),
@@ -892,7 +911,7 @@ impl StoredTable {
     /// price "repartition now and fold" against the delta's growing scan
     /// tax.
     pub fn repartition_plan(&self, layout: &Partitioning, disk: &DiskParams) -> RepartitionStats {
-        let base = self.snapshot.load();
+        let base = self.snapshot();
         if !base.delta.is_empty() {
             let delta_bytes = base.delta.stored_bytes();
             let bytes_reread = base.stored_bytes() + delta_bytes;
@@ -964,32 +983,25 @@ impl StoredTable {
     /// Rows currently visible (columnar base plus delta appends minus
     /// tombstones, of the snapshot current *now*).
     pub fn rows(&self) -> usize {
-        self.snapshot.load().visible_rows()
+        self.snapshot().visible_rows()
     }
 
     /// Total compressed bytes across the current snapshot's files.
     pub fn stored_bytes(&self) -> u64 {
-        self.snapshot.load().stored_bytes()
+        self.snapshot().stored_bytes()
     }
 
     /// Raw bytes of the current delta backlog (0 once folded).
     pub fn delta_bytes(&self) -> u64 {
-        self.snapshot.load().delta.stored_bytes()
+        self.snapshot().delta.stored_bytes()
     }
 
     /// Compression ratio versus the uncompressed fixed-width size of the
     /// columnar base.
     pub fn compression_ratio(&self) -> f64 {
-        let snapshot = self.snapshot.load();
+        let snapshot = self.snapshot();
         let raw = self.schema.row_size() * snapshot.base_rows() as u64;
         raw as f64 / snapshot.stored_bytes().max(1) as f64
-    }
-
-    /// [`TableSnapshot::prune_fraction`] of the snapshot current *now* —
-    /// the measured selectivity to stamp on a query's predicate via
-    /// [`Predicate::with_kept_fraction`] before costing it.
-    pub fn prune_fraction(&self, predicate: &Predicate) -> f64 {
-        self.snapshot.load().prune_fraction(predicate)
     }
 }
 
@@ -1034,9 +1046,9 @@ fn simulated_io(disk: &DiskParams, sizes: &[u64]) -> f64 {
 /// simulated I/O seconds. A non-empty delta reads as one extra
 /// "file" of its raw row-store bytes — the whole delta, regardless of the
 /// projection, because rows are stored row-major there (this is the scan
-/// tax the payoff gate prices against folding). Shared by [`scan_naive`]
-/// and the vectorized executor so both report bit-identical I/O
-/// accounting.
+/// tax the payoff gate prices against folding). Shared by
+/// [`scan_naive_query_snapshot`] and the vectorized executor so both
+/// report bit-identical I/O accounting.
 pub(crate) fn touched_and_io(
     snapshot: &TableSnapshot,
     referenced: AttrSet,
@@ -1125,16 +1137,36 @@ pub(crate) fn touched_and_io_query(
     (touched, bytes_read, io_seconds)
 }
 
-/// [`scan_naive`] against an explicitly pinned snapshot: the correctness
-/// oracle for concurrent serving, where the caller must compare a scan
-/// against the *same* snapshot it raced. The snapshot is self-contained
-/// (decode templates and delta travel with it), so the table it came from
-/// need not still be serving it — or exist.
-pub fn scan_naive_snapshot(
+/// The scan oracle: the original one-shot executor. It heap-materializes
+/// every referenced column, then reconstructs tuples row-by-row through
+/// enum dispatch, with no pruning whatsoever. Production scans go through
+/// [`crate::executor::ScanExecutor`], which must match this oracle's
+/// checksum bit-for-bit while reading no more bytes.
+///
+/// It scans an explicitly pinned snapshot, so a caller racing a
+/// re-partition compares against the *same* snapshot it raced. The
+/// snapshot is self-contained (decode templates and delta travel with
+/// it), so the table it came from need not still be serving it — or
+/// exist.
+///
+/// Rows are filtered by evaluating the predicate's clauses against the
+/// decoded **values** (never fingerprints, so hash collisions cannot leak
+/// a wrong row in). Qualifying rows fold into the checksum rotated by
+/// their rank *among qualifying visible rows*, where visible means not
+/// tombstoned. The result is invariant under folding: merging the delta
+/// into fresh partition files renumbers rows densely without moving any
+/// row's rank. A query with no predicate has zero clauses, every visible
+/// row qualifies, and the rank is the plain visible rank — which with no
+/// delta is the physical row, the pre-delta checksum bit-for-bit. A
+/// predicate that keeps everything checksums identically to the pure
+/// projection. Delta rows filter the same way, in append order.
+pub fn scan_naive_query_snapshot(
     snapshot: &TableSnapshot,
-    referenced: AttrSet,
+    query: &Query,
     disk: &DiskParams,
 ) -> ScanResult {
+    let referenced = query.referenced;
+    let clauses = query.predicate.as_ref().map_or(&[][..], |p| &p.clauses);
     let (touched, bytes_read, io_seconds) = touched_and_io(snapshot, referenced, disk);
 
     let start = Instant::now();
@@ -1158,118 +1190,9 @@ pub fn scan_naive_snapshot(
         }
     }
     decoded.sort_by_key(|(a, _)| *a);
-
-    // Tuple reconstruction: stitch the projected row together row-by-row
-    // (per-tuple query processing, as in the cost model's assumptions).
-    // The checksum folds each row hash rotated by the row's *visible*
-    // position — the rank among non-tombstoned rows — so the result is
-    // invariant under folding: merging the delta into fresh partition
-    // files renumbers rows densely without moving any row's rank.
-    // (With no delta, visible position == physical row, reproducing the
-    // pre-delta checksum bit-for-bit.)
-    let rows = snapshot.source.rows;
-    let delta = &snapshot.delta;
-    let mut checksum = 0u64;
-    let mut visible = 0usize;
-    let deleted = delta.deleted_ids();
-    let mut next_del = 0usize;
-    for r in 0..rows {
-        if next_del < deleted.len() && deleted[next_del] == r as u64 {
-            next_del += 1;
-            continue;
-        }
-        let mut row_hash = FNV_OFFSET;
-        for (_, col) in &decoded {
-            row_hash ^= col.fingerprint(r);
-            row_hash = row_hash.wrapping_mul(FNV_PRIME);
-        }
-        checksum ^= row_hash.rotate_left((visible % 63) as u32);
-        visible += 1;
-    }
-    // Delta rows: the row store merges after the base, in append order,
-    // hashing the same referenced attributes in the same ascending order.
-    for batch in delta.batches() {
-        for i in 0..batch.data.rows {
-            if delta.is_deleted(batch.first_row_id + i as u64) {
-                continue;
-            }
-            let mut row_hash = FNV_OFFSET;
-            for (aid, _) in &decoded {
-                row_hash ^= batch.data.columns[aid.index()].fingerprint(i);
-                row_hash = row_hash.wrapping_mul(FNV_PRIME);
-            }
-            checksum ^= row_hash.rotate_left((visible % 63) as u32);
-            visible += 1;
-        }
-    }
-    let cpu_seconds = start.elapsed().as_secs_f64();
-
-    ScanResult {
-        checksum,
-        io_seconds,
-        cpu_seconds,
-        bytes_read,
-    }
-}
-
-/// The original one-shot scan: heap-materialize every referenced column,
-/// then reconstruct tuples row-by-row through enum dispatch. Pins the
-/// table's current snapshot and scans that.
-///
-/// Kept verbatim as the correctness oracle;
-/// production scans go through [`crate::executor::ScanExecutor`] (or its
-/// [`crate::executor::scan`] convenience wrapper).
-pub fn scan_naive(table: &StoredTable, referenced: AttrSet, disk: &DiskParams) -> ScanResult {
-    let snapshot = table.snapshot();
-    scan_naive_snapshot(&snapshot, referenced, disk)
-}
-
-/// The *predicate* scan oracle: reference semantics for a query that
-/// carries a conjunctive predicate, with no pruning whatsoever. Every
-/// referenced byte is read and decoded exactly as in
-/// [`scan_naive_snapshot`]; rows are then filtered by evaluating the
-/// clauses against the decoded **values** (never fingerprints, so hash
-/// collisions cannot leak a wrong row in). Qualifying rows fold into the
-/// checksum rotated by their rank *among qualifying visible rows* — when
-/// the predicate keeps everything this degenerates to the plain visible
-/// rank, so a `kept_fraction`-1.0 predicate checksums identically to the
-/// pure projection. Delta rows filter the same way, in append order.
-///
-/// A query with no predicate delegates to [`scan_naive_snapshot`]
-/// unchanged. The pruning executor must match this oracle's checksum
-/// bit-for-bit while reading no more bytes.
-pub fn scan_naive_query_snapshot(
-    snapshot: &TableSnapshot,
-    query: &Query,
-    disk: &DiskParams,
-) -> ScanResult {
-    let Some(predicate) = &query.predicate else {
-        return scan_naive_snapshot(snapshot, query.referenced, disk);
-    };
-    let referenced = query.referenced;
-    let (touched, bytes_read, io_seconds) = touched_and_io(snapshot, referenced, disk);
-
-    let start = Instant::now();
-    let mut decoded: Vec<(AttrId, ColumnData)> = Vec::new();
-    for &fi in &touched {
-        let f = &snapshot.files[fi];
-        let need_all = !f.fixed_width();
-        for (aid, seg) in &f.segments {
-            if need_all || referenced.contains(*aid) {
-                let col = decode(seg, &snapshot.source.columns[aid.index()]);
-                if referenced.contains(*aid) {
-                    decoded.push((*aid, col));
-                } else {
-                    std::hint::black_box(&col);
-                }
-            }
-        }
-    }
-    decoded.sort_by_key(|(a, _)| *a);
     // Drivers are validated to be referenced, so every clause's column is
     // among the decoded ones.
-    let clause_cols: Vec<usize> = predicate
-        .clauses
+    let clause_cols: Vec<usize> = clauses
         .iter()
         .map(|c| {
             decoded
@@ -1278,6 +1201,8 @@ pub fn scan_naive_query_snapshot(
         })
         .collect();
 
+    // Tuple reconstruction: stitch the projected row together row-by-row
+    // (per-tuple query processing, as in the cost model's assumptions).
     let rows = snapshot.source.rows;
     let delta = &snapshot.delta;
     let mut checksum = 0u64;
@@ -1289,8 +1214,7 @@ pub fn scan_naive_query_snapshot(
             next_del += 1;
             continue;
         }
-        let matches = predicate
-            .clauses
+        let matches = clauses
             .iter()
             .zip(&clause_cols)
             .all(|(c, &ci)| clause_matches(c, &decoded[ci].1, r));
@@ -1305,13 +1229,14 @@ pub fn scan_naive_query_snapshot(
         checksum ^= row_hash.rotate_left((qualifying % 63) as u32);
         qualifying += 1;
     }
+    // Delta rows: the row store merges after the base, in append order,
+    // hashing the same referenced attributes in the same ascending order.
     for batch in delta.batches() {
         for i in 0..batch.data.rows {
             if delta.is_deleted(batch.first_row_id + i as u64) {
                 continue;
             }
-            let matches = predicate
-                .clauses
+            let matches = clauses
                 .iter()
                 .all(|c| clause_matches(c, &batch.data.columns[c.attr.index()], i));
             if !matches {
@@ -1336,18 +1261,23 @@ pub fn scan_naive_query_snapshot(
     }
 }
 
-/// [`scan_naive_query_snapshot`] against the table's current snapshot.
-pub fn scan_naive_query(table: &StoredTable, query: &Query, disk: &DiskParams) -> ScanResult {
-    let snapshot = table.snapshot();
-    scan_naive_query_snapshot(&snapshot, query, disk)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::data::generate_table;
-    use crate::executor::scan;
+    use crate::executor::ScanExecutor;
     use slicer_model::AttrKind;
+
+    /// The executor over `t`'s current snapshot.
+    fn scan(t: &StoredTable, referenced: AttrSet, disk: &DiskParams) -> ScanResult {
+        let q = Query::new("q", referenced);
+        ScanExecutor::new(t).scan_query_snapshot(&t.snapshot(), &q, disk)
+    }
+
+    /// The oracle over `t`'s current snapshot.
+    fn naive(t: &StoredTable, referenced: AttrSet, disk: &DiskParams) -> ScanResult {
+        scan_naive_query_snapshot(&t.snapshot(), &Query::new("q", referenced), disk)
+    }
 
     fn schema() -> TableSchema {
         TableSchema::builder("Orders", 2000)
@@ -1585,16 +1515,16 @@ mod tests {
         );
         let referenced = s.attr_set(&["CustKey", "ShipMode"]).unwrap();
         let pinned = t.snapshot();
-        let before = scan_naive_snapshot(&pinned, referenced, &disk);
+        let before = scan_naive_query_snapshot(&pinned, &Query::new("q", referenced), &disk);
         t.repartition(&Partitioning::column(&s), &disk);
         // The pinned snapshot still scans exactly as before the move…
-        let after = scan_naive_snapshot(&pinned, referenced, &disk);
+        let after = scan_naive_query_snapshot(&pinned, &Query::new("q", referenced), &disk);
         assert_eq!(before.checksum, after.checksum);
         assert_eq!(before.bytes_read, after.bytes_read);
         assert_eq!(before.io_seconds.to_bits(), after.io_seconds.to_bits());
         // …while the live table serves the new layout (fewer bytes for a
         // two-column projection under Column than under Row).
-        let live = scan_naive(&t, referenced, &disk);
+        let live = naive(&t, referenced, &disk);
         assert_eq!(live.checksum, before.checksum);
         assert!(live.bytes_read < before.bytes_read);
     }
@@ -1611,7 +1541,7 @@ mod tests {
             CompressionPolicy::Default,
         );
         let p = s.attr_set(&["CustKey", "ShipMode"]).unwrap();
-        let before = scan_naive(&t, p, &disk);
+        let before = naive(&t, p, &disk);
 
         // Append 100 rows and delete 50 base rows.
         let extra = generate_table(&s, 100, 7);
@@ -1622,14 +1552,14 @@ mod tests {
             .unwrap();
         assert_eq!(stats.rows_deleted, 50);
         assert_eq!(t.rows(), 2000 + 100 - 50);
-        let with_delta = scan_naive(&t, p, &disk);
+        let with_delta = naive(&t, p, &disk);
         assert_ne!(with_delta.checksum, before.checksum);
         assert!(
             with_delta.bytes_read > before.bytes_read,
             "delta adds scan bytes"
         );
         // Executor merges identically.
-        let exec = crate::executor::scan(&t, p, &disk);
+        let exec = scan(&t, p, &disk);
         assert_eq!(exec.checksum, with_delta.checksum);
         assert_eq!(exec.bytes_read, with_delta.bytes_read);
         assert_eq!(exec.io_seconds.to_bits(), with_delta.io_seconds.to_bits());
@@ -1641,10 +1571,10 @@ mod tests {
         assert_eq!(fold_stats.delta_rows_folded, 100);
         assert!(fold_stats.delta_bytes_folded > 0);
         assert_eq!(fold_stats.files_kept, 0);
-        let folded = scan_naive(&t, p, &disk);
+        let folded = naive(&t, p, &disk);
         assert_eq!(folded.checksum, with_delta.checksum);
         assert!(t.snapshot().delta.is_empty());
-        let replay = scan_naive_snapshot(&pinned, p, &disk);
+        let replay = scan_naive_query_snapshot(&pinned, &Query::new("q", p), &disk);
         assert_eq!(replay.checksum, with_delta.checksum);
         assert_eq!(replay.bytes_read, with_delta.bytes_read);
         // Same answer as loading the merged rows fresh.
@@ -1654,7 +1584,7 @@ mod tests {
             &Partitioning::column(&s),
             CompressionPolicy::Default,
         );
-        assert_eq!(scan_naive(&oracle, p, &disk).checksum, folded.checksum);
+        assert_eq!(naive(&oracle, p, &disk).checksum, folded.checksum);
     }
 
     #[test]
@@ -1692,7 +1622,7 @@ mod tests {
         t.ingest(&IngestBatch::append(extra), &disk).unwrap();
         t.ingest(&IngestBatch::delete(vec![3, 510]), &disk).unwrap();
         let p = s.all_attrs();
-        let live = scan_naive(&t, p, &disk);
+        let live = naive(&t, p, &disk);
 
         let (reopened, report) = StoredTable::open(&s, dir.clone()).unwrap();
         assert_eq!(report.wal_records, 2);
@@ -1701,17 +1631,17 @@ mod tests {
         assert_eq!(report.torn, None);
         assert_eq!(reopened.policy, CompressionPolicy::Default);
         assert_eq!(reopened.rows(), t.rows());
-        let back = scan_naive(&reopened, p, &disk);
+        let back = naive(&reopened, p, &disk);
         assert_eq!(back.checksum, live.checksum);
         assert_eq!(back.bytes_read, live.bytes_read);
 
         // A repartition folds, truncates the WAL, and stays durable.
         reopened.repartition(&Partitioning::column(&s), &disk);
-        let after_fold = scan_naive(&reopened, p, &disk);
+        let after_fold = naive(&reopened, p, &disk);
         assert_eq!(after_fold.checksum, live.checksum);
         let (again, report2) = StoredTable::open(&s, dir).unwrap();
         assert_eq!(report2.wal_records, 0, "fold truncated the delta's WAL");
-        assert_eq!(scan_naive(&again, p, &disk).checksum, live.checksum);
+        assert_eq!(naive(&again, p, &disk).checksum, live.checksum);
         assert!(again.snapshot().delta.is_empty());
     }
 
@@ -1723,7 +1653,7 @@ mod tests {
         let t = fixture(CompressionPolicy::Dictionary, Partitioning::column(&s));
         let referenced = s.attr_set(&["CustKey", "OrderDate"]).unwrap();
         let date = s.attr_id("OrderDate").unwrap();
-        let plain = scan_naive(&t, referenced, &disk);
+        let plain = naive(&t, referenced, &disk);
 
         // A keep-everything predicate checksums identically to the pure
         // projection (qualifying rank == visible rank).
@@ -1733,7 +1663,7 @@ mod tests {
                 PredOp::Ge,
                 Literal::date(0),
             )]));
-        let r = scan_naive_query(&t, &all, &disk);
+        let r = scan_naive_query_snapshot(&t.snapshot(), &all, &disk);
         assert_eq!(r.checksum, plain.checksum);
         assert_eq!(r.bytes_read, plain.bytes_read);
 
@@ -1745,21 +1675,25 @@ mod tests {
                 PredOp::Le,
                 Literal::date(40),
             )]));
-        let f = scan_naive_query(&t, &narrow, &disk);
+        let f = scan_naive_query_snapshot(&t.snapshot(), &narrow, &disk);
         assert_ne!(f.checksum, plain.checksum);
         // The fixture is a single chunk, so only an impossible range can
         // prove pruning here; chunk-level selectivity is covered at scale
         // by the executor tests and the root package's storage oracle.
         let none = Predicate::new(vec![PredClause::new(date, PredOp::Le, Literal::date(-1))]);
-        assert_eq!(t.prune_fraction(&none), 0.0);
+        assert_eq!(t.snapshot().prune_fraction(&none), 0.0);
         assert_eq!(
-            t.prune_fraction(&narrow.predicate.clone().unwrap()),
+            t.snapshot()
+                .prune_fraction(&narrow.predicate.clone().unwrap()),
             1.0,
             "one chunk spanning all dates cannot prune"
         );
-        // No-predicate query delegates to the plain scan bit-for-bit.
+        // A no-predicate query is the plain projection bit-for-bit.
         let bare = Query::new("bare", referenced);
-        assert_eq!(scan_naive_query(&t, &bare, &disk).checksum, plain.checksum);
+        assert_eq!(
+            scan_naive_query_snapshot(&t.snapshot(), &bare, &disk).checksum,
+            plain.checksum
+        );
     }
 
     #[test]

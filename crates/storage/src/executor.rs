@@ -3,12 +3,13 @@
 //! shared (`&self`) scan entry point so N threads scan concurrently.
 //!
 //! [`ScanExecutor`] replaces the engine's original materialize-then-iterate
-//! scan. Per scan it:
+//! scan. It has one entry point, [`ScanExecutor::scan_query_snapshot`]:
+//! a bare projection is a query without a predicate, and the snapshot is
+//! one the caller pinned. Per scan it:
 //!
-//! 1. pins the table's current [`TableSnapshot`] (or scans an explicitly
-//!    pinned one via [`ScanExecutor::scan_snapshot`]) and computes the
-//!    touched files and their simulated I/O exactly as the naive path does
-//!    (identical `bytes_read` / `io_seconds`);
+//! 1. computes the touched files of the pinned [`TableSnapshot`] and their
+//!    simulated I/O exactly as the naive path does (identical
+//!    `bytes_read` / `io_seconds`);
 //! 2. **prepares** each touched partition — in parallel across partitions
 //!    via rayon (gracefully sequential on one core) — turning every
 //!    referenced segment into a [`PreparedSegment`] cursor (zero-copy for
@@ -45,8 +46,9 @@
 //! state; [`CacheMode::Warm`] keeps prepared segments across the scans
 //! that reuse a scratch, modeling a warmed decode cache.
 //!
-//! The original executor survives as [`crate::engine::scan_naive`], the
-//! oracle the property tests and the benchmark hold this module to.
+//! The original executor survives as
+//! [`crate::engine::scan_naive_query_snapshot`], the oracle the property
+//! tests and the benchmark hold this module to.
 
 use crate::cursor::{pack_kept, Demand, PreparedSegment};
 use crate::data::{TableData, FNV_OFFSET, FNV_PRIME};
@@ -206,7 +208,7 @@ impl ScanScratch {
 
 /// A reusable, shareable scan executor over one [`StoredTable`].
 ///
-/// `scan` takes `&self`: clone the reference across worker threads and
+/// Scans take `&self`: clone the reference across worker threads and
 /// scan concurrently — each scan checks a private [`ScanScratch`] out of
 /// the pool, so threads never alias each other's warm arenas.
 pub struct ScanExecutor<'t> {
@@ -235,37 +237,11 @@ impl<'t> ScanExecutor<'t> {
         self.mode
     }
 
-    /// Execute a projection scan of `referenced` attributes against the
-    /// table's *current* snapshot (pinned for the scan's duration — a
-    /// concurrent re-partition never stalls it), reconstructing full
-    /// tuples across partitions. Checksum, `bytes_read` and `io_seconds`
-    /// are bit-identical to [`crate::engine::scan_naive`] on the same
-    /// snapshot; `cpu_seconds` measures this executor's actual decode +
-    /// reconstruction work.
-    pub fn scan(&self, referenced: AttrSet, disk: &DiskParams) -> ScanResult {
-        let snapshot = self.table.snapshot();
-        self.scan_snapshot(&snapshot, referenced, disk)
-    }
-
-    /// [`ScanExecutor::scan`] against an explicitly pinned snapshot —
-    /// the entry point for callers that must know exactly which snapshot
-    /// a scan observed (e.g. to compare it against
-    /// [`crate::engine::scan_naive_snapshot`] on the same pin). The pin
-    /// is taken by `Arc` so the scratch pool can key its warm state on
-    /// snapshot *identity* (two distinct tables both at generation 0 must
-    /// never share decode state).
-    pub fn scan_snapshot(
-        &self,
-        snapshot: &Arc<TableSnapshot>,
-        referenced: AttrSet,
-        disk: &DiskParams,
-    ) -> ScanResult {
-        self.scan_tallied(snapshot, referenced, None, disk).0
-    }
-
-    /// The one body behind every public scan: checks a scratch out of the
-    /// pool, runs the plain or the pruning scan on it, and returns the
-    /// work tally beside the result.
+    /// The body behind [`ScanExecutor::scan_query_snapshot`]: checks a
+    /// scratch out of the pool, runs the plain scan (no predicate) or the
+    /// pruning scan on it, and returns the work tally beside the result.
+    /// The two bodies stay apart so the plain scan's hot loop carries no
+    /// per-row clause work.
     fn scan_tallied(
         &self,
         snapshot: &Arc<TableSnapshot>,
@@ -367,19 +343,24 @@ impl<'t> ScanExecutor<'t> {
         }
     }
 
-    /// Execute `query` — projection plus optional conjunctive predicate —
-    /// against the table's current snapshot. With no predicate this is
-    /// exactly [`ScanExecutor::scan`]; with one, chunks the zone maps /
-    /// bloom filters prove empty of matches are skipped before any
-    /// decode, `bytes_read`/`io_seconds` follow the select-then-fetch
-    /// pruning accounting, and the checksum is bit-identical to
-    /// [`crate::engine::scan_naive_query`] on the same snapshot.
-    pub fn scan_query(&self, query: &Query, disk: &DiskParams) -> ScanResult {
-        let snapshot = self.table.snapshot();
-        self.scan_query_snapshot(&snapshot, query, disk)
-    }
-
-    /// [`ScanExecutor::scan_query`] against an explicitly pinned snapshot.
+    /// Execute `query` — a projection plus an optional conjunctive
+    /// predicate — against a snapshot the caller pinned with
+    /// [`StoredTable::snapshot`]. The scan never stalls a concurrent
+    /// re-partition, and the caller knows exactly which snapshot it
+    /// observed (e.g. to compare it against
+    /// [`crate::engine::scan_naive_query_snapshot`] on the same pin).
+    ///
+    /// Tuples are reconstructed across partitions. Without a predicate
+    /// every row is read; with one, chunks the zone maps / bloom filters
+    /// prove empty of matches are skipped before any decode, and
+    /// `bytes_read`/`io_seconds` follow the select-then-fetch pruning
+    /// accounting. Checksum, `bytes_read` and `io_seconds` are
+    /// bit-identical to the oracle on the same snapshot; `cpu_seconds`
+    /// measures this executor's actual decode + reconstruction work.
+    ///
+    /// The pin is taken by `Arc` so the scratch pool can key its warm
+    /// state on snapshot *identity* (two distinct tables both at
+    /// generation 0 must never share decode state).
     pub fn scan_query_snapshot(
         &self,
         snapshot: &Arc<TableSnapshot>,
@@ -669,23 +650,11 @@ fn prepare_file(
     }
 }
 
-/// Convenience: one cold-cache scan through a fresh [`ScanExecutor`] —
-/// the drop-in replacement for the old `scan` free function.
-pub fn scan(table: &StoredTable, referenced: AttrSet, disk: &DiskParams) -> ScanResult {
-    ScanExecutor::new(table).scan(referenced, disk)
-}
-
-/// Convenience: one cold-cache *query* scan (projection + optional
-/// predicate) through a fresh [`ScanExecutor`].
-pub fn scan_query(table: &StoredTable, query: &Query, disk: &DiskParams) -> ScanResult {
-    ScanExecutor::new(table).scan_query(query, disk)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::data::generate_table;
-    use crate::engine::{scan_naive, CompressionPolicy};
+    use crate::engine::{scan_naive_query_snapshot, CompressionPolicy};
     use slicer_model::{AttrKind, Partitioning, TableSchema};
 
     fn schema() -> TableSchema {
@@ -736,8 +705,9 @@ mod tests {
                 let t = StoredTable::load(&s, &data, &layout, policy);
                 let exec = ScanExecutor::new(&t);
                 for &p in &projections {
-                    let naive = scan_naive(&t, p, &disk);
-                    let fast = exec.scan(p, &disk);
+                    let naive =
+                        scan_naive_query_snapshot(&t.snapshot(), &Query::new("q", p), &disk);
+                    let fast = exec.scan_query_snapshot(&t.snapshot(), &Query::new("q", p), &disk);
                     assert_eq!(naive.checksum, fast.checksum, "{policy:?} {layout:?}");
                     assert_eq!(naive.bytes_read, fast.bytes_read);
                     assert_eq!(naive.io_seconds, fast.io_seconds);
@@ -758,18 +728,19 @@ mod tests {
             CompressionPolicy::Default,
         );
         let p = s.attr_set(&["CustKey", "ShipMode"]).unwrap();
-        let oracle = scan_naive(&t, p, &disk);
+        let oracle = scan_naive_query_snapshot(&t.snapshot(), &Query::new("q", p), &disk);
         let warm = ScanExecutor::with_mode(&t, CacheMode::Warm);
         for _ in 0..3 {
-            let r = warm.scan(p, &disk);
+            let r = warm.scan_query_snapshot(&t.snapshot(), &Query::new("q", p), &disk);
             assert_eq!(r.checksum, oracle.checksum);
             assert_eq!(r.bytes_read, oracle.bytes_read);
         }
         // Widening the projection after warming must still be correct.
         let wide = s.attr_set(&["CustKey", "ShipMode", "Comment"]).unwrap();
         assert_eq!(
-            warm.scan(wide, &disk).checksum,
-            scan_naive(&t, wide, &disk).checksum
+            warm.scan_query_snapshot(&t.snapshot(), &Query::new("q", wide), &disk)
+                .checksum,
+            scan_naive_query_snapshot(&t.snapshot(), &Query::new("q", wide), &disk).checksum
         );
     }
 
@@ -786,8 +757,8 @@ mod tests {
         );
         let p = s.attr_set(&["Comment"]).unwrap();
         let exec = ScanExecutor::new(&t);
-        let a = exec.scan(p, &disk);
-        let b = exec.scan(p, &disk);
+        let a = exec.scan_query_snapshot(&t.snapshot(), &Query::new("q", p), &disk);
+        let b = exec.scan_query_snapshot(&t.snapshot(), &Query::new("q", p), &disk);
         assert_eq!(a.checksum, b.checksum);
         assert_eq!(a.bytes_read, b.bytes_read);
     }
@@ -809,14 +780,14 @@ mod tests {
         let p = s.attr_set(&["CustKey", "Comment"]).unwrap();
         let warm = ScanExecutor::with_mode(&t, CacheMode::Warm);
         let old_snap = t.snapshot();
-        let before = warm.scan(p, &disk);
+        let before = warm.scan_query_snapshot(&t.snapshot(), &Query::new("q", p), &disk);
         t.repartition(&Partitioning::column(&s), &disk);
         // Live scan: new snapshot, fresh decode state, fewer bytes.
-        let live = warm.scan(p, &disk);
+        let live = warm.scan_query_snapshot(&t.snapshot(), &Query::new("q", p), &disk);
         assert_eq!(live.checksum, before.checksum);
         assert!(live.bytes_read < before.bytes_read);
         // Pinned scan: the superseded snapshot still reads exactly.
-        let pinned = warm.scan_snapshot(&old_snap, p, &disk);
+        let pinned = warm.scan_query_snapshot(&old_snap, &Query::new("q", p), &disk);
         assert_eq!(pinned.checksum, before.checksum);
         assert_eq!(pinned.bytes_read, before.bytes_read);
     }
@@ -836,17 +807,19 @@ mod tests {
         let b = StoredTable::load(&s, &data_b, &layout, CompressionPolicy::Default);
         let p = s.attr_set(&["CustKey", "Comment"]).unwrap();
         let warm = ScanExecutor::with_mode(&a, CacheMode::Warm);
-        let from_a = warm.scan(p, &disk);
+        let from_a = warm.scan_query_snapshot(&a.snapshot(), &Query::new("q", p), &disk);
         let snap_b = b.snapshot();
         assert_eq!(snap_b.generation, a.snapshot().generation);
-        let from_b = warm.scan_snapshot(&snap_b, p, &disk);
-        assert_eq!(from_b.checksum, scan_naive(&b, p, &disk).checksum);
+        let from_b = warm.scan_query_snapshot(&snap_b, &Query::new("q", p), &disk);
+        assert_eq!(
+            from_b.checksum,
+            scan_naive_query_snapshot(&b.snapshot(), &Query::new("q", p), &disk).checksum
+        );
         assert_ne!(from_b.checksum, from_a.checksum, "different data");
     }
 
     #[test]
     fn predicate_scans_match_oracle_and_read_fewer_bytes() {
-        use crate::engine::scan_naive_query;
         use slicer_model::{Literal, PredClause, PredOp, Predicate, Query};
         let s = schema();
         let data = generate_table(&s, 1500, 11);
@@ -881,10 +854,10 @@ mod tests {
                 let t = StoredTable::load(&s, &data, &layout, policy);
                 let exec = ScanExecutor::with_mode(&t, CacheMode::Warm);
                 for q in &queries {
-                    let oracle = scan_naive_query(&t, q, &disk);
+                    let oracle = scan_naive_query_snapshot(&t.snapshot(), q, &disk);
                     // Warm repeats must be as exact as the cold first scan.
                     for _ in 0..2 {
-                        let fast = exec.scan_query(q, &disk);
+                        let fast = exec.scan_query_snapshot(&t.snapshot(), q, &disk);
                         assert_eq!(
                             fast.checksum, oracle.checksum,
                             "{policy:?} {layout:?} {}",
@@ -904,7 +877,6 @@ mod tests {
     #[test]
     fn predicate_scans_filter_the_delta_too() {
         use crate::delta::IngestBatch;
-        use crate::engine::scan_naive_query;
         use slicer_model::{Literal, PredClause, PredOp, Predicate, Query};
         let s = schema();
         let data = generate_table(&s, 1500, 17);
@@ -927,15 +899,16 @@ mod tests {
             Literal::date(2400),
         )]));
         let exec = ScanExecutor::new(&t);
-        let oracle = scan_naive_query(&t, &q, &disk);
-        let fast = exec.scan_query(&q, &disk);
+        let oracle = scan_naive_query_snapshot(&t.snapshot(), &q, &disk);
+        let fast = exec.scan_query_snapshot(&t.snapshot(), &q, &disk);
         assert_eq!(fast.checksum, oracle.checksum);
         assert!(fast.bytes_read <= oracle.bytes_read);
-        // And the predicate-free path through scan_query stays the plain scan.
+        // And the predicate-free path stays the plain scan.
         let bare = Query::new("bare", referenced);
         assert_eq!(
-            exec.scan_query(&bare, &disk).checksum,
-            scan_naive(&t, referenced, &disk).checksum
+            exec.scan_query_snapshot(&t.snapshot(), &bare, &disk)
+                .checksum,
+            scan_naive_query_snapshot(&t.snapshot(), &Query::new("q", referenced), &disk).checksum
         );
     }
 
@@ -964,7 +937,6 @@ mod tests {
         // A cursor prepared for one kept chunk — a table-less dictionary
         // cursor, a variable-width prefix — must not answer a later scan
         // that reads other rows from what it happened to cover.
-        use crate::engine::scan_naive_query;
         let s = schema();
         let rows = 5 * CHUNK_ROWS + 100;
         let data = generate_table(&s, rows, 29);
@@ -988,8 +960,8 @@ mod tests {
                 let t = StoredTable::load(&s, &data, &layout, policy);
                 let warm = ScanExecutor::with_mode(&t, CacheMode::Warm);
                 for (i, q) in sequence.iter().enumerate() {
-                    let oracle = scan_naive_query(&t, q, &disk);
-                    let got = warm.scan_query(q, &disk);
+                    let oracle = scan_naive_query_snapshot(&t.snapshot(), q, &disk);
+                    let got = warm.scan_query_snapshot(&t.snapshot(), q, &disk);
                     assert_eq!(got.checksum, oracle.checksum, "{policy:?} step {i}");
                     assert!(got.bytes_read <= oracle.bytes_read);
                 }
@@ -1091,8 +1063,11 @@ mod tests {
         let q = Query::new("unreferenced-driver", referenced).with_predicate(Predicate::new(vec![
             PredClause::new(s.attr_id("CustKey").unwrap(), PredOp::Ge, Literal::int(750)),
         ]));
-        let got = ScanExecutor::new(&t).scan_query(&q, &disk);
-        assert_eq!(got.checksum, scan_naive(&t, referenced, &disk).checksum);
+        let got = ScanExecutor::new(&t).scan_query_snapshot(&t.snapshot(), &q, &disk);
+        assert_eq!(
+            got.checksum,
+            scan_naive_query_snapshot(&t.snapshot(), &Query::new("q", referenced), &disk).checksum
+        );
     }
 
     #[test]
@@ -1114,18 +1089,23 @@ mod tests {
         ];
         let oracles: Vec<ScanResult> = projections
             .iter()
-            .map(|&p| scan_naive(&t, p, &disk))
+            .map(|&p| scan_naive_query_snapshot(&t.snapshot(), &Query::new("q", p), &disk))
             .collect();
         std::thread::scope(|scope| {
             for worker in 0..4 {
                 let exec = &exec;
+                let t = &t;
                 let projections = &projections;
                 let oracles = &oracles;
                 let disk = &disk;
                 scope.spawn(move || {
                     for i in 0..32 {
                         let k = (worker + i) % projections.len();
-                        let r = exec.scan(projections[k], disk);
+                        let r = exec.scan_query_snapshot(
+                            &t.snapshot(),
+                            &Query::new("q", projections[k]),
+                            disk,
+                        );
                         assert_eq!(r.checksum, oracles[k].checksum);
                         assert_eq!(r.bytes_read, oracles[k].bytes_read);
                     }

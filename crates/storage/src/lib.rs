@@ -14,21 +14,22 @@
 //! * [`cursor`] — segments readied for blocked fingerprinting
 //!   (zero-copy for fixed-width codecs, scratch-decoded for
 //!   variable-width ones);
-//! * [`executor`] — the vectorized [`executor::ScanExecutor`]: a shared
-//!   (`&self`) scan entry point with pooled per-thread scratch, explicit
+//! * [`executor`] — the vectorized [`executor::ScanExecutor`]: one shared
+//!   (`&self`) scan entry point,
+//!   [`executor::ScanExecutor::scan_query_snapshot`], with pooled
+//!   per-thread scratch, explicit
 //!   cold/warm decode-cache modes, rayon-parallel decode across
 //!   partitions, blocked tuple reconstruction — and predicate scans that
 //!   skip chunks the pruning metadata proves empty of matches;
 //! * [`prune`] — chunk-granular zone maps + bloom filters, built at
 //!   encode time, persisted with the partition files, consulted by the
 //!   executor to skip blocks and by the cost layer to price the skip;
-//! * [`snapshot`] — the lock-free [`snapshot::SnapshotCell`] behind the
-//!   engine's atomically-swappable file sets;
 //! * [`engine`] — immutable [`engine::TableSnapshot`] partition files over
-//!   a simulated disk, double-buffered zero-stall
-//!   [`engine::StoredTable::repartition`], and [`engine::scan_naive`],
-//!   the original materialize-then-iterate executor kept as the
-//!   correctness oracle and benchmark baseline;
+//!   a simulated disk, pinned by cloning an `Arc` under a short lock,
+//!   double-buffered zero-stall [`engine::StoredTable::repartition`], and
+//!   [`engine::scan_naive_query_snapshot`], the original
+//!   materialize-then-iterate executor kept as the correctness oracle and
+//!   benchmark baseline;
 //! * [`backend`] — the pluggable durable [`backend::Dir`] namespace
 //!   (filesystem, in-memory, and the crash-injecting wrapper driving the
 //!   recovery property suite);
@@ -40,6 +41,7 @@
 //!   until a repartition folds it in.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod backend;
 pub mod compress;
@@ -49,7 +51,6 @@ pub mod delta;
 pub mod engine;
 pub mod executor;
 pub mod prune;
-pub mod snapshot;
 pub mod wal;
 
 pub use backend::{CrashDir, CrashPoint, Dir, FsDir, MemDir, StorageError};
@@ -57,11 +58,9 @@ pub use compress::{decode, default_codec, encode, Codec, EncodedColumn};
 pub use data::{generate_table, generate_table_seq, ColumnData, TableData};
 pub use delta::{decode_ingest_batch, encode_ingest_batch, DeltaBatch, DeltaState, IngestBatch};
 pub use engine::{
-    scan_naive, scan_naive_query, scan_naive_query_snapshot, scan_naive_snapshot,
-    CompressionPolicy, IngestStats, PartitionFile, RepartitionStats, ReplEvent, ReplOp, ReplTap,
-    ScanResult, StoredTable, TableSnapshot,
+    scan_naive_query_snapshot, CompressionPolicy, IngestStats, PartitionFile, RepartitionStats,
+    ReplEvent, ReplOp, ReplTap, ScanResult, StoredTable, TableSnapshot,
 };
-pub use executor::{scan, scan_query, CacheMode, ScanExecutor};
+pub use executor::{CacheMode, ScanExecutor};
 pub use prune::{ChunkStats, ColumnPrune, CHUNK_ROWS};
-pub use snapshot::SnapshotCell;
 pub use wal::{crc32, RecoveryReport, TornTail, WalRecord};

@@ -26,8 +26,8 @@ use slicer_model::{
     AttrKind, AttrSet, Literal, Partitioning, PredClause, PredOp, Predicate, Query, TableSchema,
 };
 use slicer_storage::{
-    generate_table, scan_naive_query, scan_naive_query_snapshot, ColumnData, CompressionPolicy,
-    IngestBatch, MemDir, ScanExecutor, StoredTable, TableData, CHUNK_ROWS,
+    generate_table, scan_naive_query_snapshot, ColumnData, CompressionPolicy, IngestBatch, MemDir,
+    ScanExecutor, StoredTable, TableData, CHUNK_ROWS,
 };
 use std::sync::Arc;
 
@@ -171,9 +171,9 @@ proptest! {
         let warm = ScanExecutor::new(&table);
         for i in 0..6u64 {
             let q = random_query(&mut state, &schema, &data, i);
-            let oracle = scan_naive_query(&table, &q, &disk);
-            let cold = ScanExecutor::new(&table).scan_query(&q, &disk);
-            let hot = warm.scan_query(&q, &disk);
+            let oracle = scan_naive_query_snapshot(&table.snapshot(), &q, &disk);
+            let cold = ScanExecutor::new(&table).scan_query_snapshot(&table.snapshot(), &q, &disk);
+            let hot = warm.scan_query_snapshot(&table.snapshot(), &q, &disk);
             prop_assert_eq!(cold.checksum, oracle.checksum, "cold scan diverged on {:?}", q);
             prop_assert_eq!(hot.checksum, oracle.checksum, "warm scan diverged on {:?}", q);
             prop_assert!(cold.bytes_read <= oracle.bytes_read);
@@ -204,8 +204,9 @@ proptest! {
         let before: Vec<u64> = queries
             .iter()
             .map(|q| {
-                let got = ScanExecutor::new(&table).scan_query(q, &disk);
-                let oracle = scan_naive_query(&table, q, &disk);
+                let got =
+                    ScanExecutor::new(&table).scan_query_snapshot(&table.snapshot(), q, &disk);
+                let oracle = scan_naive_query_snapshot(&table.snapshot(), q, &disk);
                 assert_eq!(got.checksum, oracle.checksum, "pre-flip scan diverged");
                 got.checksum
             })
@@ -221,8 +222,8 @@ proptest! {
             prop_assert_eq!(old.checksum, *expect, "pinned snapshot changed its answer");
             prop_assert_eq!(old.checksum, scan_naive_query_snapshot(&pinned, q, &disk).checksum);
             // ...and the flipped table prunes the new files exactly.
-            let new = exec.scan_query(q, &disk);
-            let oracle = scan_naive_query(&table, q, &disk);
+            let new = exec.scan_query_snapshot(&table.snapshot(), q, &disk);
+            let oracle = scan_naive_query_snapshot(&table.snapshot(), q, &disk);
             prop_assert_eq!(new.checksum, oracle.checksum, "post-flip scan diverged");
             prop_assert_eq!(new.checksum, *expect, "repartition changed the answer");
             prop_assert!(new.bytes_read <= oracle.bytes_read);
@@ -254,7 +255,11 @@ proptest! {
             (0..4u64).map(|i| random_query(&mut state, &schema, &data, i)).collect();
         let before: Vec<u64> = queries
             .iter()
-            .map(|q| ScanExecutor::new(&table).scan_query(q, &disk).checksum)
+            .map(|q| {
+                ScanExecutor::new(&table)
+                    .scan_query_snapshot(&table.snapshot(), q, &disk)
+                    .checksum
+            })
             .collect();
         drop(table);
 
@@ -262,8 +267,8 @@ proptest! {
         assert_eq!(report.torn, None, "clean shutdown leaves no torn tail");
         let exec = ScanExecutor::new(&reopened);
         for (q, expect) in queries.iter().zip(&before) {
-            let got = exec.scan_query(q, &disk);
-            let oracle = scan_naive_query(&reopened, q, &disk);
+            let got = exec.scan_query_snapshot(&reopened.snapshot(), q, &disk);
+            let oracle = scan_naive_query_snapshot(&reopened.snapshot(), q, &disk);
             prop_assert_eq!(got.checksum, oracle.checksum, "recovered scan diverged");
             prop_assert_eq!(got.checksum, *expect, "recovery changed the answer");
             prop_assert!(got.bytes_read <= oracle.bytes_read);
@@ -324,10 +329,10 @@ const POLICIES: [CompressionPolicy; 3] = [
 /// The executor, cold and on a reused instance, against the oracle.
 fn assert_matches_oracle(table: &StoredTable, reused: &ScanExecutor<'_>, q: &Query, what: &str) {
     let disk = DiskParams::paper_testbed();
-    let oracle = scan_naive_query(table, q, &disk);
+    let oracle = scan_naive_query_snapshot(&table.snapshot(), q, &disk);
     for got in [
-        ScanExecutor::new(table).scan_query(q, &disk),
-        reused.scan_query(q, &disk),
+        ScanExecutor::new(table).scan_query_snapshot(&table.snapshot(), q, &disk),
+        reused.scan_query_snapshot(&table.snapshot(), q, &disk),
     ] {
         assert_eq!(got.checksum, oracle.checksum, "{what}: {q:?}");
         assert!(got.bytes_read <= oracle.bytes_read, "{what}");

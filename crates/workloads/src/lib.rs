@@ -12,6 +12,7 @@
 //! * [`Benchmark`] — multi-table query bookkeeping shared by both.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod benchmark;
 pub mod ssb;

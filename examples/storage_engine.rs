@@ -6,7 +6,9 @@
 //! Run with: `cargo run --release --example storage_engine`
 
 use slicer::prelude::*;
-use slicer::storage::{generate_table, scan_naive, CompressionPolicy, ScanExecutor, StoredTable};
+use slicer::storage::{
+    generate_table, scan_naive_query_snapshot, CompressionPolicy, ScanExecutor, StoredTable,
+};
 
 fn main() -> Result<(), ModelError> {
     let nominal = tpch::table(tpch::TpchTable::Orders, 1.0);
@@ -54,11 +56,12 @@ fn main() -> Result<(), ModelError> {
         ] {
             let stored = StoredTable::load(&table, &data, &layout, policy);
             let exec = ScanExecutor::new(&stored); // cold cache per scan
+            let snapshot = stored.snapshot();
             let (mut io, mut cpu, mut naive_cpu, mut bytes) = (0.0, 0.0, 0.0, 0u64);
             let mut checksum = 0u64;
             for q in workload.queries() {
-                let r = exec.scan(q.referenced, &disk);
-                let n = scan_naive(&stored, q.referenced, &disk);
+                let r = exec.scan_query_snapshot(&snapshot, q, &disk);
+                let n = scan_naive_query_snapshot(&snapshot, q, &disk);
                 assert_eq!(n.checksum, r.checksum, "executor must match the oracle");
                 io += r.io_seconds;
                 cpu += r.cpu_seconds;

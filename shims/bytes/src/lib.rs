@@ -6,6 +6,8 @@
 //! [`Bytes`]. Only the little-endian accessors the storage codecs use are
 //! provided.
 
+#![forbid(unsafe_code)]
+
 use std::ops::Deref;
 use std::sync::Arc;
 

@@ -3,6 +3,8 @@
 //! lock (a panic while held) is transparently recovered, matching
 //! parking_lot's no-poisoning semantics.
 
+#![forbid(unsafe_code)]
+
 use std::sync;
 
 /// Poison-free mutex.

@@ -7,6 +7,8 @@
 //! path + name), so failures reproduce across runs. No shrinking: a failing
 //! case reports its case number and message.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// One-stop imports (mirrors `proptest::prelude`).

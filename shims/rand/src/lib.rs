@@ -6,6 +6,8 @@
 //! (the workspace's generators are seeded everywhere); statistical quality
 //! beyond SplitMix64 is not required.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Raw 64-bit generator.

@@ -12,6 +12,8 @@
 //! `par_iter().map(f).collect::<Vec<_>>()` equals the sequential
 //! `iter().map(f).collect()` whenever `f` is pure.
 
+#![deny(unsafe_code)]
+
 use std::ops::Range;
 
 /// Entry points (mirrors `rayon::prelude`).
@@ -297,6 +299,7 @@ mod pool {
                 // borrows inside T/R — outlives every job because this
                 // call blocks until all jobs have reported before
                 // returning or unwinding; see the module docs.
+                #[allow(unsafe_code)]
                 let job: Job =
                     unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + '_>, Job>(job) };
                 senders[dispatched % senders.len()]

@@ -14,6 +14,8 @@
 //! compile unchanged against this surface, and would compile unchanged
 //! against real serde if the dependency is ever swapped back.
 
+#![forbid(unsafe_code)]
+
 pub use serde_derive::{Deserialize, Serialize};
 
 use std::fmt;

@@ -10,6 +10,8 @@
 //! model (`serde::to_value` / `serde::from_value`), which the shim's JSON
 //! front-end (`serde_json`) understands.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 enum Shape {

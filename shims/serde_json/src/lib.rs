@@ -2,6 +2,8 @@
 //! `serde` shim's [`serde::Value`] data model. Supports exactly what the
 //! workspace uses: [`to_string`], [`to_string_pretty`] and [`from_str`].
 
+#![forbid(unsafe_code)]
+
 use serde::Value;
 use std::fmt;
 

@@ -26,6 +26,8 @@
 //! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
 //! paper-versus-measured results of every table and figure.
 
+#![forbid(unsafe_code)]
+
 pub use slicer_client as client;
 pub use slicer_combinat as combinat;
 pub use slicer_core as core;

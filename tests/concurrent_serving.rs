@@ -4,9 +4,9 @@
 //! The snapshot read path's contract, stress- and property-tested:
 //!
 //! * a scan pins one [`TableSnapshot`] and is bit-identical to the
-//!   `scan_naive` oracle *on that same pinned snapshot* — checksum,
-//!   `bytes_read`, `io_seconds` — no matter how many re-partitions are
-//!   published while it runs;
+//!   `scan_naive_query_snapshot` oracle *on that same pinned snapshot* —
+//!   checksum, `bytes_read`, `io_seconds` — no matter how many
+//!   re-partitions are published while it runs;
 //! * no scan ever observes a half-moved layout: every scan's `bytes_read`
 //!   equals what one of the published layouts (old or new) reads for that
 //!   projection, never a mixture;
@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use slicer::model::{AttrKind, AttrSet, Partitioning, Query, TableSchema};
 use slicer::prelude::{HddCostModel, HillClimb, TableManager, TableManagerConfig};
 use slicer::storage::{
-    generate_table, scan_naive, scan_naive_snapshot, CacheMode, CompressionPolicy, ScanExecutor,
+    generate_table, scan_naive_query_snapshot, CacheMode, CompressionPolicy, ScanExecutor,
     StoredTable,
 };
 use slicer_cost::DiskParams;
@@ -79,8 +79,8 @@ fn random_projection(state: &mut u64, schema: &TableSchema) -> AttrSet {
 
 /// The core race: `readers` threads scanning through one shared executor
 /// while a writer thread keeps flipping the table between two layouts.
-/// Every scan is held to the `scan_naive` oracle on its own pinned
-/// snapshot; returns the set of generations the readers observed.
+/// Every scan is held to the `scan_naive_query_snapshot` oracle on its own
+/// pinned snapshot; returns the set of generations the readers observed.
 fn race(
     table: &Arc<StoredTable>,
     layouts: [&Partitioning; 2],
@@ -96,7 +96,7 @@ fn race(
     let start_snapshot = table.snapshot();
     let checksum_oracle: Vec<u64> = projections
         .iter()
-        .map(|&p| scan_naive_snapshot(&start_snapshot, p, &disk).checksum)
+        .map(|&p| scan_naive_query_snapshot(&start_snapshot, &Query::new("q", p), &disk).checksum)
         .collect();
     // Per-layout bytes_read: the only values an atomic snapshot can read.
     let bytes_oracle: Vec<[u64; 2]> = {
@@ -114,8 +114,10 @@ fn race(
             .iter()
             .map(|&p| {
                 [
-                    scan_naive(&probes[0], p, &disk).bytes_read,
-                    scan_naive(&probes[1], p, &disk).bytes_read,
+                    scan_naive_query_snapshot(&probes[0].snapshot(), &Query::new("q", p), &disk)
+                        .bytes_read,
+                    scan_naive_query_snapshot(&probes[1].snapshot(), &Query::new("q", p), &disk)
+                        .bytes_read,
                 ]
             })
             .collect()
@@ -146,9 +148,10 @@ fn race(
                     let p = projections[i];
                     let snapshot = table.snapshot();
                     generations.insert(snapshot.generation);
-                    let fast = executor.scan_snapshot(&snapshot, p, disk);
+                    let q = Query::new("q", p);
+                    let fast = executor.scan_query_snapshot(&snapshot, &q, disk);
                     // Bit-exact against the oracle on the SAME pin.
-                    let naive = scan_naive_snapshot(&snapshot, p, disk);
+                    let naive = scan_naive_query_snapshot(&snapshot, &q, disk);
                     assert_eq!(
                         fast.checksum, naive.checksum,
                         "[{policy_tag}] executor diverged from its pinned snapshot"
@@ -247,30 +250,31 @@ fn warm_interleaved_scans_match_cold_scans_bit_for_bit() {
         let table = StoredTable::load(&schema, &data, &Partitioning::row(&schema), policy);
         let p1 = random_projection(&mut state, &schema);
         let p2 = schema.all_attrs();
-        let cold1 = scan_naive(&table, p1, &disk);
-        let cold2 = scan_naive(&table, p2, &disk);
+        let (q1, q2) = (Query::new("q1", p1), Query::new("q2", p2));
+        let cold1 = scan_naive_query_snapshot(&table.snapshot(), &q1, &disk);
+        let cold2 = scan_naive_query_snapshot(&table.snapshot(), &q2, &disk);
         let warm = ScanExecutor::with_mode(&table, CacheMode::Warm);
         let rounds = 12usize;
         let barrier = Barrier::new(2);
         std::thread::scope(|s| {
             let h1 = {
-                let (warm, barrier, disk) = (&warm, &barrier, &disk);
+                let (warm, barrier, disk, table, q1) = (&warm, &barrier, &disk, &table, &q1);
                 s.spawn(move || {
                     (0..rounds)
                         .map(|_| {
                             barrier.wait(); // lock-step interleave
-                            warm.scan(p1, disk)
+                            warm.scan_query_snapshot(&table.snapshot(), q1, disk)
                         })
                         .collect::<Vec<_>>()
                 })
             };
             let h2 = {
-                let (warm, barrier, disk) = (&warm, &barrier, &disk);
+                let (warm, barrier, disk, table, q2) = (&warm, &barrier, &disk, &table, &q2);
                 s.spawn(move || {
                     (0..rounds)
                         .map(|_| {
                             barrier.wait();
-                            warm.scan(p2, disk)
+                            warm.scan_query_snapshot(&table.snapshot(), q2, disk)
                         })
                         .collect::<Vec<_>>()
                 })
@@ -303,13 +307,14 @@ fn pinned_snapshots_are_immortal_while_held() {
     );
     let p = schema.all_attrs();
     let pinned = table.snapshot();
-    let before = scan_naive_snapshot(&pinned, p, &disk);
+    let q = Query::new("q", p);
+    let before = scan_naive_query_snapshot(&pinned, &q, &disk);
     for _ in 0..8 {
         table.repartition(&Partitioning::column(&schema), &disk);
         table.repartition(&Partitioning::row(&schema), &disk);
     }
     assert_eq!(table.snapshot().generation, 16);
-    let after = scan_naive_snapshot(&pinned, p, &disk);
+    let after = scan_naive_query_snapshot(&pinned, &q, &disk);
     assert_eq!(before.checksum, after.checksum);
     assert_eq!(before.bytes_read, after.bytes_read);
     assert_eq!(before.io_seconds.to_bits(), after.io_seconds.to_bits());
@@ -319,9 +324,9 @@ fn pinned_snapshots_are_immortal_while_held() {
 fn serve_front_drain_racing_layout_flips_matches_the_oracle() {
     // The manager's multi-threaded drain with row <-> column flips
     // published mid-drain: its order-deterministic checksum accumulator
-    // equals a sequential `scan_naive` pass over the same stream. A drain
-    // can finish before the first flip lands, so drain until one spans
-    // two generations.
+    // equals a sequential `scan_naive_query_snapshot` pass over the same
+    // stream. A drain can finish before the first flip lands, so drain
+    // until one spans two generations.
     let mut state = 77u64;
     let (schema, rows) = random_schema(&mut state);
     let data = generate_table(&schema, rows, 7);
@@ -332,7 +337,7 @@ fn serve_front_drain_racing_layout_flips_matches_the_oracle() {
         .map(|i| Query::new(format!("q{i}"), random_projection(&mut state, &schema)))
         .collect();
     let oracle = stream.iter().enumerate().fold(0u64, |acc, (i, q)| {
-        acc ^ scan_naive(&table, q.referenced, &disk)
+        acc ^ scan_naive_query_snapshot(&table.snapshot(), q, &disk)
             .checksum
             .rotate_left((i % 63) as u32)
     });

@@ -10,10 +10,10 @@
 //! the moral equivalent of a power cut at that instant.
 
 use proptest::prelude::*;
-use slicer::model::{AttrKind, AttrSet, Partitioning, TableSchema};
+use slicer::model::{AttrKind, AttrSet, Partitioning, Query, TableSchema};
 use slicer::storage::{
-    generate_table, scan_naive, CompressionPolicy, CrashDir, CrashPoint, Dir, FsDir, IngestBatch,
-    MemDir, ScanExecutor, StoredTable, TableData,
+    generate_table, scan_naive_query_snapshot, CompressionPolicy, CrashDir, CrashPoint, Dir, FsDir,
+    IngestBatch, MemDir, ScanExecutor, StoredTable, TableData,
 };
 use slicer_cost::DiskParams;
 use std::collections::BTreeSet;
@@ -113,13 +113,15 @@ fn assert_scans_identical(
     prop_assert_eq!(recovered.layout(), oracle.layout());
     prop_assert_eq!(recovered.rows(), oracle.rows());
     let exec = ScanExecutor::new(recovered);
+    let (recovered_snap, oracle_snap) = (recovered.snapshot(), oracle.snapshot());
     for &p in projections {
-        let r = scan_naive(recovered, p, disk);
-        let o = scan_naive(oracle, p, disk);
+        let q = Query::new("q", p);
+        let r = scan_naive_query_snapshot(&recovered_snap, &q, disk);
+        let o = scan_naive_query_snapshot(&oracle_snap, &q, disk);
         prop_assert_eq!(r.checksum, o.checksum, "naive checksum diverged on {}", p);
         prop_assert_eq!(r.bytes_read, o.bytes_read);
         prop_assert_eq!(r.io_seconds.to_bits(), o.io_seconds.to_bits());
-        let e = exec.scan(p, disk);
+        let e = exec.scan_query_snapshot(&recovered_snap, &q, disk);
         prop_assert_eq!(
             e.checksum,
             o.checksum,
@@ -304,7 +306,8 @@ fn torn_tail_fixture() -> (MemDir, String, StoredTable, StoredTable, TableData) 
 
 fn checksum_of(table: &StoredTable) -> u64 {
     let disk = DiskParams::paper_testbed();
-    scan_naive(table, table.schema.all_attrs(), &disk).checksum
+    let q = Query::new("all", table.schema.all_attrs());
+    scan_naive_query_snapshot(&table.snapshot(), &q, &disk).checksum
 }
 
 /// Truncate the WAL at *every* byte boundary of its final record: recovery

@@ -30,8 +30,7 @@ use slicer::net::{
     ServerHandle, WireStream,
 };
 use slicer::storage::{
-    generate_table, scan_naive_query_snapshot, scan_naive_snapshot, CompressionPolicy, IngestBatch,
-    StoredTable,
+    generate_table, scan_naive_query_snapshot, CompressionPolicy, IngestBatch, StoredTable,
 };
 use slicer_core::HillClimb;
 use std::net::{SocketAddr, TcpStream};
@@ -104,12 +103,7 @@ fn oracle_query_checksum(handle: &ServerHandle, q: &Query) -> u64 {
 fn oracle_checksum(handle: &ServerHandle) -> u64 {
     handle.with_fleet(|fleet| {
         let target = fleet.scan_target("alpha").expect("registered");
-        scan_naive_snapshot(
-            &target.table.snapshot(),
-            scan_query().referenced,
-            &target.disk,
-        )
-        .checksum
+        scan_naive_query_snapshot(&target.table.snapshot(), &scan_query(), &target.disk).checksum
     })
 }
 

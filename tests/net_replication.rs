@@ -7,7 +7,7 @@
 //!
 //! * **Parity** — a synced follower's scans (pure projections and
 //!   predicated alike) are bit-identical to the single-node
-//!   `scan_naive` oracle, layout flips included.
+//!   `scan_naive_query_snapshot` oracle, layout flips included.
 //! * **Kill anywhere** — with the shipping stream cut or bit-flipped at
 //!   every byte offset ([`FaultyStream`]), the follower's pump
 //!   reconnects, resumes from its own log cursor, and converges; every
@@ -33,8 +33,8 @@ use slicer::net::{
     ServerRole, WireStream,
 };
 use slicer::storage::{
-    generate_table, scan_naive_query_snapshot, scan_naive_snapshot, CompressionPolicy, CrashDir,
-    CrashPoint, Dir, IngestBatch, StoredTable,
+    generate_table, scan_naive_query_snapshot, CompressionPolicy, CrashDir, CrashPoint, Dir,
+    IngestBatch, StoredTable,
 };
 use slicer_core::HillClimb;
 use std::collections::VecDeque;
@@ -120,12 +120,7 @@ fn batch(rows: usize, seed: u64) -> IngestBatch {
 fn live_checksum(handle: &ServerHandle) -> u64 {
     handle.with_fleet(|fleet| {
         let target = fleet.scan_target("alpha").expect("registered");
-        scan_naive_snapshot(
-            &target.table.snapshot(),
-            scan_query().referenced,
-            &target.disk,
-        )
-        .checksum
+        scan_naive_query_snapshot(&target.table.snapshot(), &scan_query(), &target.disk).checksum
     })
 }
 
@@ -342,12 +337,8 @@ fn shipping_survives_cuts_and_flips_at_every_byte() {
         handle.with_fleet(|fleet| {
             fleet.ingest("alpha", &b).expect("feed ingest");
             let target = fleet.scan_target("alpha").expect("registered");
-            scan_naive_snapshot(
-                &target.table.snapshot(),
-                scan_query().referenced,
-                &target.disk,
-            )
-            .checksum
+            scan_naive_query_snapshot(&target.table.snapshot(), &scan_query(), &target.disk)
+                .checksum
         })
     }
     // Enough backlog that the first sessions ship real payload.
@@ -662,7 +653,7 @@ fn failover_applies_retried_ingest_exactly_once_at_every_crash_point() {
         let got = c2.scan("alpha", &q).expect("scan after failover");
         assert_eq!(got.checksum, want, "{point}: failover diverged from oracle");
         let want_pure =
-            scan_naive_snapshot(&oracle.snapshot(), scan_query().referenced, &disk).checksum;
+            scan_naive_query_snapshot(&oracle.snapshot(), &scan_query(), &disk).checksum;
         assert_eq!(
             c2.scan("alpha", &scan_query()).expect("pure scan").checksum,
             want_pure,

@@ -2,7 +2,7 @@
 //! driven by the retrying client, held to in-process oracles.
 //!
 //! * every scan served over the wire is bit-identical (checksum,
-//!   `bytes_read`, `io_seconds`) to `scan_naive_snapshot` on the same
+//!   `bytes_read`, `io_seconds`) to `scan_naive_query_snapshot` on the same
 //!   table;
 //! * ingest round-trips durably and idempotently;
 //! * typed errors — unknown table, invalid query, malformed batch — come
@@ -24,8 +24,7 @@ use slicer::model::{
 };
 use slicer::net::{ErrorCode, Request, Server, ServerConfig, ServerHandle};
 use slicer::storage::{
-    generate_table, scan_naive_query_snapshot, scan_naive_snapshot, CompressionPolicy, IngestBatch,
-    StoredTable,
+    generate_table, scan_naive_query_snapshot, CompressionPolicy, IngestBatch, StoredTable,
 };
 use slicer_core::HillClimb;
 use std::time::Duration;
@@ -129,7 +128,7 @@ fn oracle(handle: &ServerHandle, table: &str, referenced: AttrSet) -> (u64, u64,
     handle.with_fleet(|fleet| {
         let target = fleet.scan_target(table).expect("table registered");
         let snapshot = target.table.snapshot();
-        let r = scan_naive_snapshot(&snapshot, referenced, &target.disk);
+        let r = scan_naive_query_snapshot(&snapshot, &Query::new("q", referenced), &target.disk);
         (r.checksum, r.bytes_read, snapshot.generation)
     })
 }
@@ -187,9 +186,9 @@ fn ingest_round_trips_durably_and_scans_see_it() {
         .ingest(&batch, &HddCostModel::paper_testbed().params())
         .expect("oracle ingest");
     let q = query("after-ingest", &[0, 1, 2, 3]);
-    let want = scan_naive_snapshot(
+    let want = scan_naive_query_snapshot(
         &oracle_table.snapshot(),
-        q.referenced,
+        &q,
         &HddCostModel::paper_testbed().params(),
     );
     let got = c.scan("alpha", &q).expect("scan after ingest");

@@ -8,8 +8,10 @@
 //! and chains of successive repartitions.
 
 use proptest::prelude::*;
-use slicer::model::{AttrKind, AttrSet, Partitioning, TableSchema};
-use slicer::storage::{generate_table, scan_naive, CompressionPolicy, ScanExecutor, StoredTable};
+use slicer::model::{AttrKind, AttrSet, Partitioning, Query, TableSchema};
+use slicer::storage::{
+    generate_table, scan_naive_query_snapshot, CompressionPolicy, ScanExecutor, StoredTable,
+};
 use slicer_cost::DiskParams;
 
 /// Deterministic splitmix-style stream over a test seed.
@@ -88,13 +90,14 @@ fn assert_tables_identical(
     let exec_moved = ScanExecutor::new(moved);
     let exec_fresh = ScanExecutor::new(fresh);
     for &p in projections {
-        let nm = scan_naive(moved, p, disk);
-        let nf = scan_naive(fresh, p, disk);
+        let q = Query::new("q", p);
+        let nm = scan_naive_query_snapshot(&moved_snap, &q, disk);
+        let nf = scan_naive_query_snapshot(&fresh_snap, &q, disk);
         prop_assert_eq!(nm.checksum, nf.checksum, "naive checksum diverged on {}", p);
         prop_assert_eq!(nm.bytes_read, nf.bytes_read);
         prop_assert_eq!(nm.io_seconds.to_bits(), nf.io_seconds.to_bits());
-        let em = exec_moved.scan(p, disk);
-        let ef = exec_fresh.scan(p, disk);
+        let em = exec_moved.scan_query_snapshot(&moved_snap, &q, disk);
+        let ef = exec_fresh.scan_query_snapshot(&fresh_snap, &q, disk);
         prop_assert_eq!(
             em.checksum,
             ef.checksum,

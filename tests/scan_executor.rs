@@ -1,4 +1,4 @@
-//! ScanExecutor ⇔ scan_naive equivalence oracle.
+//! ScanExecutor ⇔ scan_naive_query_snapshot equivalence oracle.
 //!
 //! The vectorized executor must be *bit-for-bit* indistinguishable from
 //! the original materialize-then-iterate scan on everything a caller can
@@ -8,10 +8,10 @@
 //! table generator to its sequential oracle.
 
 use proptest::prelude::*;
-use slicer::model::{AttrKind, AttrSet, Partitioning, TableSchema};
+use slicer::model::{AttrKind, AttrSet, Partitioning, Query, TableSchema};
 use slicer::storage::{
-    generate_table, generate_table_seq, scan_naive, CacheMode, CompressionPolicy, ScanExecutor,
-    StoredTable,
+    generate_table, generate_table_seq, scan_naive_query_snapshot, CacheMode, CompressionPolicy,
+    ScanExecutor, StoredTable,
 };
 use slicer_cost::DiskParams;
 
@@ -85,14 +85,16 @@ proptest! {
             let cold = ScanExecutor::new(&table);
             let warm = ScanExecutor::with_mode(&table, CacheMode::Warm);
             for &p in &projections {
-                let oracle = scan_naive(&table, p, &disk);
+                let q = Query::new("q", p);
+                let snapshot = table.snapshot();
+                let oracle = scan_naive_query_snapshot(&snapshot, &q, &disk);
                 // Cold mode, twice (second scan re-decodes into reused
                 // arenas); warm mode, twice (second scan hits the cache).
                 for r in [
-                    cold.scan(p, &disk),
-                    cold.scan(p, &disk),
-                    warm.scan(p, &disk),
-                    warm.scan(p, &disk),
+                    cold.scan_query_snapshot(&snapshot, &q, &disk),
+                    cold.scan_query_snapshot(&snapshot, &q, &disk),
+                    warm.scan_query_snapshot(&snapshot, &q, &disk),
+                    warm.scan_query_snapshot(&snapshot, &q, &disk),
                 ] {
                     prop_assert_eq!(r.checksum, oracle.checksum,
                         "checksum mismatch: {:?} {:?} proj {:?}", policy, layout, p);
@@ -132,9 +134,10 @@ fn warm_mode_survives_projection_changes() {
     let mut projections: Vec<AttrSet> = (0..schema.attr_count()).map(AttrSet::single).collect();
     projections.push(schema.all_attrs());
     for p in projections {
+        let (q, snapshot) = (Query::new("q", p), table.snapshot());
         assert_eq!(
-            warm.scan(p, &disk).checksum,
-            scan_naive(&table, p, &disk).checksum
+            warm.scan_query_snapshot(&snapshot, &q, &disk).checksum,
+            scan_naive_query_snapshot(&snapshot, &q, &disk).checksum
         );
     }
 }

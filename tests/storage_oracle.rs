@@ -6,8 +6,8 @@ use proptest::prelude::*;
 use slicer::model::{Literal, PredClause, PredOp, Predicate};
 use slicer::prelude::*;
 use slicer::storage::{
-    decode, encode, generate_table, scan, scan_naive_query, scan_query, Codec, ColumnData,
-    CompressionPolicy, StoredTable,
+    decode, encode, generate_table, scan_naive_query_snapshot, Codec, ColumnData,
+    CompressionPolicy, ScanExecutor, StoredTable,
 };
 
 fn orders_schema(rows: u64) -> TableSchema {
@@ -55,7 +55,9 @@ fn scans_agree_across_every_layout_codec_combination() {
                 hc_layout.clone(),
             ] {
                 let t = StoredTable::load(&schema, &data, &layout, policy);
-                checksums.push(scan(&t, referenced, &disk).checksum);
+                let q = Query::new("q", referenced);
+                let r = ScanExecutor::new(&t).scan_query_snapshot(&t.snapshot(), &q, &disk);
+                checksums.push(r.checksum);
             }
         }
         assert!(
@@ -135,8 +137,10 @@ fn narrower_projections_read_fewer_bytes() {
         &Partitioning::column(&schema),
         CompressionPolicy::None,
     );
-    let one = scan(&col, schema.attr_set(&["OrderKey"]).unwrap(), &disk);
-    let all = scan(&col, schema.all_attrs(), &disk);
+    let (exec, snapshot) = (ScanExecutor::new(&col), col.snapshot());
+    let one_q = Query::new("one", schema.attr_set(&["OrderKey"]).unwrap());
+    let one = exec.scan_query_snapshot(&snapshot, &one_q, &disk);
+    let all = exec.scan_query_snapshot(&snapshot, &Query::new("all", schema.all_attrs()), &disk);
     assert!(one.bytes_read < all.bytes_read);
     assert!(one.io_seconds <= all.io_seconds);
 }
@@ -188,8 +192,9 @@ fn isolating_a_selective_driver_cuts_bytes_and_the_skip_aware_advisor_finds_it()
         (CompressionPolicy::Default, None),
     ] {
         let table = StoredTable::load(&schema, &data, &isolating, policy);
-        let oracle = scan_naive_query(&table, &q, &disk);
-        let pruned = scan_query(&table, &q, &disk);
+        let snapshot = table.snapshot();
+        let oracle = scan_naive_query_snapshot(&snapshot, &q, &disk);
+        let pruned = ScanExecutor::new(&table).scan_query_snapshot(&snapshot, &q, &disk);
         assert_eq!(pruned.checksum, oracle.checksum, "{policy:?}");
         let cut = oracle.bytes_read as f64 / pruned.bytes_read as f64;
         match min_cut {
@@ -198,7 +203,7 @@ fn isolating_a_selective_driver_cuts_bytes_and_the_skip_aware_advisor_finds_it()
         }
         // Zone maps and blooms are built from values, not codes: every
         // policy measures the same fraction.
-        kept = table.prune_fraction(&permille);
+        kept = snapshot.prune_fraction(&permille);
     }
 
     // The same advisor, evaluator and queries; only whether the predicate
