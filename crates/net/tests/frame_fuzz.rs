@@ -312,3 +312,20 @@ fn random_garbage_never_panics_and_is_rejected() {
         assert!(decoded.is_empty(), "round {round}: garbage decoded a frame");
     }
 }
+
+/// The stream above, frozen: `fixtures/every-kind-stream.bin` was written
+/// once by the encoder and is never edited (a wire-format change adds a
+/// new fixture). Today's encoder must reproduce it byte for byte, and
+/// today's decoder must read it back to every frame with nothing left.
+#[test]
+fn sample_stream_matches_its_golden_fixture() {
+    let golden: &[u8] = include_bytes!("fixtures/every-kind-stream.bin");
+    let (stream, _, envelopes) = sample_stream();
+    assert!(
+        stream == golden,
+        "the encoder no longer writes the fixture's bytes"
+    );
+    let (decoded, end) = drive(golden);
+    assert_eq!(decoded, envelopes);
+    assert_eq!(end, Ok(0));
+}
