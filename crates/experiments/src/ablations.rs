@@ -1,5 +1,6 @@
 //! Ablations of the design choices the algorithms hinge on — not paper
-//! artifacts, but the knobs DESIGN.md calls out:
+//! artifacts, but the knobs below, each run by its `ablation-*` id in
+//! `repro list`:
 //!
 //! * HYRISE's subgraph bound K (complexity vs quality);
 //! * Trojan's interestingness threshold (pruning vs quality);

@@ -120,8 +120,8 @@ mod tests {
                 // splits) and Trojan groups purely by workload statistics,
                 // so all three may go negative in main memory — the paper
                 // shows the same for Navathe/O2P; our Trojan deviates
-                // slightly from the paper's 0.00% (documented in
-                // EXPERIMENTS.md).
+                // slightly from the paper's 0.00% (`repro table6` shows
+                // the figure).
                 "Navathe" | "O2P" | "Trojan" => {
                     assert!(mm <= 0.5, "{}: {mm}% should not beat column in MM", row[0]);
                 }

@@ -3,8 +3,9 @@
 //! One runner per table and figure of *A Comparison of Knives for Bread
 //! Slicing* (VLDB 2013). Every runner returns a serializable
 //! [`Report`]; the `repro` binary renders them as text or
-//! JSON. See `DESIGN.md` § 6 for the experiment index and `EXPERIMENTS.md`
-//! for paper-versus-measured results.
+//! JSON. `repro list` prints the experiment index, and each report's
+//! notes carry its parameters and caveats (README, "Reproducing the
+//! paper").
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

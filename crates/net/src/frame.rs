@@ -3,22 +3,16 @@
 //!
 //! # Frame format
 //!
-//! ```text
-//! ┌─────────┬─────────┬────────────────┬─────────┬───────────┐
-//! │ len u32 │ crc u32 │ request_id u64 │ kind u8 │ payload … │
-//! └─────────┴─────────┴────────────────┴─────────┴───────────┘
-//!              └──────────── crc32 covers ──────────────────┘
-//! ```
-//!
-//! `len` counts everything after the crc field (9 + payload bytes) and is
-//! bounded by [`MAX_FRAME_LEN`]; `crc` is the same CRC-32 (IEEE) the
-//! storage WAL uses. Every response carries the `request_id` of the
-//! request it answers, so a client can reject stale or misrouted replies
-//! after a reconnect.
+//! A frame is one [`slicer_storage::encoding`] record frame, the one the
+//! storage WAL writes, whose body is `request_id u64 ‖ kind u8 ‖ payload`
+//! and whose length is bounded by [`MAX_FRAME_LEN`]. Payloads use the same
+//! cursor as every storage format. Every response carries the
+//! `request_id` of the request it answers, so a client can reject stale
+//! or misrouted replies after a reconnect.
 //!
 //! # Decoding discipline
 //!
-//! [`FrameBuffer::next`] walks frames from the front of a byte stream and
+//! [`FrameBuffer::next_frame`] walks frames from the front of a byte stream and
 //! stops at the *exact* first violation — implausible length, checksum
 //! mismatch, unknown kind, malformed payload — returning a typed
 //! [`WireError`] and never panicking on arbitrary bytes. An incomplete
@@ -32,7 +26,13 @@
 //! usable.
 
 use slicer_model::{AttrId, AttrKind, Literal, PredClause, PredOp, Predicate};
+#[cfg(test)]
 use slicer_storage::crc32;
+use slicer_storage::encoding::{
+    put_blob, put_flag, put_str, seal_record, take_blob, take_f64, take_flag, take_i64, take_str,
+    take_u16, take_u32, take_u64, take_u8, take_vec, unseal_record, Count, DecodeError, Unseal,
+    RECORD_HEADER,
+};
 use std::fmt;
 
 /// Hard upper bound on `len` (bytes after the crc field) — anything
@@ -42,8 +42,9 @@ pub const MAX_FRAME_LEN: u32 = 64 << 20;
 /// Bound on embedded strings (table and query names, error messages).
 const MAX_STR_LEN: usize = 4096;
 
-/// Bound on the slow-query records one stats reply may carry.
-const MAX_SLOW_RECORDS: usize = 65_536;
+/// Bound on the slow-query records one stats reply may carry. A record's
+/// fixed fields: two string lengths, three u64s, two flags, a u64.
+const SLOW_RECORDS: Count = Count::new("slow-query count", 42, 65_536);
 
 /// Bound on the conjuncts one scan predicate may carry — far above any
 /// real conjunction, low enough that a hostile frame cannot make the
@@ -55,13 +56,23 @@ pub const MAX_PRED_CLAUSES: usize = 256;
 pub const MAX_REPL_RECORDS: usize = 65_536;
 
 /// Bound on the tables one [`Request::Subscribe`] (or its reply) may
-/// enumerate.
-const MAX_REPL_TABLES: usize = 4096;
+/// enumerate. An entry: a name (`u32` length first) and a `u64` cursor.
+const TABLES: Count = Count::new("subscription table count", 12, 4096);
 
 /// Bound on the attribute groups a replicated layout may carry, and on
 /// the attributes within one group — both far above `AttrSet::CAPACITY`,
 /// low enough that a hostile frame cannot force unbounded allocation.
 const MAX_LAYOUT_GROUPS: usize = 512;
+
+/// A clause's fixed fields: attr u16, op u8, kind u8, num i64, text len u32.
+const CLAUSES: Count = Count::new("predicate clause count", 16, MAX_PRED_CLAUSES);
+/// A replication record's fixed fields: tag u8, generation u64, a u16 count.
+const REPL_RECORDS: Count = Count::new("replication record count", 11, MAX_REPL_RECORDS);
+/// A layout group opens with its `u16` attribute count.
+const GROUPS: Count = Count::new("layout group count", 2, MAX_LAYOUT_GROUPS);
+const GROUP_ATTRS: Count = Count::new("layout attr count", 2, MAX_LAYOUT_GROUPS);
+/// A scan's referenced attribute ids, `u16` each.
+const ATTRS: Count = Count::new("attribute count", 2, usize::MAX);
 
 const REQ_SCAN: u8 = 0x01;
 const REQ_INGEST: u8 = 0x02;
@@ -104,6 +115,12 @@ impl std::error::Error for WireError {}
 impl From<std::io::Error> for WireError {
     fn from(e: std::io::Error) -> WireError {
         WireError::Io(e.to_string())
+    }
+}
+
+impl From<DecodeError> for WireError {
+    fn from(e: DecodeError) -> WireError {
+        WireError::Corrupt(e.0)
     }
 }
 
@@ -477,56 +494,6 @@ pub enum Message {
     Response(Response),
 }
 
-// --- scalar helpers ---------------------------------------------------
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn take_bytes<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
-    if buf.len() < n {
-        return Err(WireError::Corrupt(format!(
-            "truncated payload: wanted {n} bytes, {} left",
-            buf.len()
-        )));
-    }
-    let (head, tail) = buf.split_at(n);
-    *buf = tail;
-    Ok(head)
-}
-
-fn take_u8(buf: &mut &[u8]) -> Result<u8, WireError> {
-    Ok(take_bytes(buf, 1)?[0])
-}
-
-fn take_u16(buf: &mut &[u8]) -> Result<u16, WireError> {
-    Ok(u16::from_le_bytes(take_bytes(buf, 2)?.try_into().unwrap()))
-}
-
-fn take_u32(buf: &mut &[u8]) -> Result<u32, WireError> {
-    Ok(u32::from_le_bytes(take_bytes(buf, 4)?.try_into().unwrap()))
-}
-
-fn take_u64(buf: &mut &[u8]) -> Result<u64, WireError> {
-    Ok(u64::from_le_bytes(take_bytes(buf, 8)?.try_into().unwrap()))
-}
-
-fn take_f64(buf: &mut &[u8]) -> Result<f64, WireError> {
-    Ok(f64::from_bits(take_u64(buf)?))
-}
-
-fn take_str(buf: &mut &[u8]) -> Result<String, WireError> {
-    let len = take_u32(buf)? as usize;
-    if len > MAX_STR_LEN {
-        return Err(WireError::Corrupt(format!("implausible string ({len} B)")));
-    }
-    let bytes = take_bytes(buf, len)?;
-    std::str::from_utf8(bytes)
-        .map(str::to_string)
-        .map_err(|_| WireError::Corrupt("non-UTF-8 string".into()))
-}
-
 // --- predicate wire form ----------------------------------------------
 //
 // `flag u8` (0 = absent, 1 = present); when present: `kept_fraction f64
@@ -571,11 +538,9 @@ fn attr_kind_from_tag(tag: u8) -> Result<AttrKind, WireError> {
 }
 
 fn put_predicate(out: &mut Vec<u8>, predicate: Option<&Predicate>) {
-    let Some(p) = predicate else {
-        out.push(0);
+    let Some(p) = put_flag(out, predicate) else {
         return;
     };
-    out.push(1);
     out.extend_from_slice(&p.kept_fraction.to_bits().to_le_bytes());
     out.extend_from_slice(&(p.clauses.len() as u16).to_le_bytes());
     for c in &p.clauses {
@@ -588,36 +553,26 @@ fn put_predicate(out: &mut Vec<u8>, predicate: Option<&Predicate>) {
 }
 
 fn take_predicate(buf: &mut &[u8]) -> Result<Option<Predicate>, WireError> {
-    match take_u8(buf)? {
-        0 => Ok(None),
-        1 => {
-            let kept_fraction = take_f64(buf)?;
-            let n = take_u16(buf)? as usize;
-            if n > MAX_PRED_CLAUSES {
-                return Err(WireError::Corrupt(format!(
-                    "implausible predicate clause count {n}"
-                )));
-            }
-            let mut clauses = Vec::with_capacity(n);
-            for _ in 0..n {
-                let attr = AttrId(take_u16(buf)?);
-                let op = pred_op_from_tag(take_u8(buf)?)?;
-                let kind = attr_kind_from_tag(take_u8(buf)?)?;
-                let num = i64::from_le_bytes(take_bytes(buf, 8)?.try_into().unwrap());
-                let text = take_str(buf)?;
-                clauses.push(PredClause {
-                    attr,
-                    op,
-                    value: Literal { kind, num, text },
-                });
-            }
-            Ok(Some(Predicate {
-                clauses,
-                kept_fraction,
-            }))
-        }
-        other => Err(WireError::Corrupt(format!("bad predicate flag {other}"))),
+    if !take_flag(buf, "predicate")? {
+        return Ok(None);
     }
+    let kept_fraction = take_f64(buf)?;
+    let n = take_u16(buf)?.into();
+    let clauses = take_vec(buf, n, CLAUSES, |buf| {
+        Ok::<_, WireError>(PredClause {
+            attr: AttrId(take_u16(buf)?),
+            op: pred_op_from_tag(take_u8(buf)?)?,
+            value: Literal {
+                kind: attr_kind_from_tag(take_u8(buf)?)?,
+                num: take_i64(buf)?,
+                text: take_str(buf, MAX_STR_LEN)?,
+            },
+        })
+    })?;
+    Ok(Some(Predicate {
+        clauses,
+        kept_fraction,
+    }))
 }
 
 // --- replication record wire form -------------------------------------
@@ -637,8 +592,7 @@ fn put_repl_record(out: &mut Vec<u8>, rec: &ReplRecord) {
         ReplRecord::Ingest { generation, batch } => {
             out.push(REPL_INGEST);
             out.extend_from_slice(&generation.to_le_bytes());
-            out.extend_from_slice(&(batch.len() as u64).to_le_bytes());
-            out.extend_from_slice(batch);
+            put_blob(out, batch);
         }
         ReplRecord::Publish { generation, layout } => {
             out.push(REPL_PUBLISH);
@@ -670,32 +624,16 @@ fn take_repl_record(buf: &mut &[u8]) -> Result<ReplRecord, WireError> {
     let tag = take_u8(buf)?;
     let generation = take_u64(buf)?;
     Ok(match tag {
-        REPL_INGEST => {
-            let blen = take_u64(buf)? as usize;
-            let batch = take_bytes(buf, blen)?.to_vec();
-            ReplRecord::Ingest { generation, batch }
-        }
+        REPL_INGEST => ReplRecord::Ingest {
+            generation,
+            batch: take_blob(buf)?.to_vec(),
+        },
         REPL_PUBLISH => {
-            let groups = take_u16(buf)? as usize;
-            if groups > MAX_LAYOUT_GROUPS {
-                return Err(WireError::Corrupt(format!(
-                    "implausible layout group count {groups}"
-                )));
-            }
-            let mut layout = Vec::with_capacity(groups);
-            for _ in 0..groups {
-                let attrs = take_u16(buf)? as usize;
-                if attrs > MAX_LAYOUT_GROUPS {
-                    return Err(WireError::Corrupt(format!(
-                        "implausible layout attr count {attrs}"
-                    )));
-                }
-                let mut group = Vec::with_capacity(attrs);
-                for _ in 0..attrs {
-                    group.push(take_u16(buf)?);
-                }
-                layout.push(group);
-            }
+            let groups = take_u16(buf)?.into();
+            let layout = take_vec(buf, groups, GROUPS, |b| {
+                let attrs = take_u16(b)?.into();
+                take_vec(b, attrs, GROUP_ATTRS, take_u16)
+            })?;
             ReplRecord::Publish { generation, layout }
         }
         REPL_LEDGER => ReplRecord::Ledger {
@@ -729,19 +667,10 @@ fn put_table_seqs(out: &mut Vec<u8>, tables: &[(String, u64)]) {
 }
 
 fn take_table_seqs(buf: &mut &[u8]) -> Result<Vec<(String, u64)>, WireError> {
-    let n = take_u32(buf)? as usize;
-    if n > MAX_REPL_TABLES {
-        return Err(WireError::Corrupt(format!(
-            "implausible subscription table count {n}"
-        )));
-    }
-    let mut tables = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = take_str(buf)?;
-        let seq = take_u64(buf)?;
-        tables.push((name, seq));
-    }
-    Ok(tables)
+    let n = take_u32(buf)?.into();
+    take_vec(buf, n, TABLES, |b| {
+        Ok((take_str(b, MAX_STR_LEN)?, take_u64(b)?))
+    })
 }
 
 // --- encoding ---------------------------------------------------------
@@ -780,8 +709,7 @@ fn encode_body(request_id: u64, msg: &Message, body: &mut Vec<u8>) {
             body.extend_from_slice(&client_id.to_le_bytes());
             body.extend_from_slice(&sequence.to_le_bytes());
             body.extend_from_slice(&deadline_micros.to_le_bytes());
-            body.extend_from_slice(&(batch.len() as u64).to_le_bytes());
-            body.extend_from_slice(batch);
+            put_blob(body, batch);
         }
         Message::Request(Request::Stats) => body.push(REQ_STATS),
         Message::Request(Request::Subscribe {
@@ -855,19 +783,11 @@ fn encode_body(request_id: u64, msg: &Message, body: &mut Vec<u8>) {
                 body.extend_from_slice(&rec.bytes_read.to_le_bytes());
                 body.extend_from_slice(&rec.wall_micros.to_le_bytes());
                 body.extend_from_slice(&rec.io_seconds.to_bits().to_le_bytes());
-                match rec.deadline_slack_micros {
-                    Some(slack) => {
-                        body.push(1);
-                        body.extend_from_slice(&slack.to_le_bytes());
-                    }
-                    None => body.push(0),
+                if let Some(slack) = put_flag(body, rec.deadline_slack_micros) {
+                    body.extend_from_slice(&slack.to_le_bytes());
                 }
-                match rec.kept_fraction {
-                    Some(kept) => {
-                        body.push(1);
-                        body.extend_from_slice(&kept.to_bits().to_le_bytes());
-                    }
-                    None => body.push(0),
+                if let Some(kept) = put_flag(body, rec.kept_fraction) {
+                    body.extend_from_slice(&kept.to_bits().to_le_bytes());
                 }
                 body.extend_from_slice(&rec.generation.to_le_bytes());
             }
@@ -905,13 +825,8 @@ fn encode_body(request_id: u64, msg: &Message, body: &mut Vec<u8>) {
 
 /// Encode one frame: `len | crc | request_id | kind | payload`.
 pub fn encode_envelope(request_id: u64, msg: &Message) -> Vec<u8> {
-    let mut body = Vec::with_capacity(64);
-    encode_body(request_id, msg, &mut body);
-    debug_assert!(body.len() <= MAX_FRAME_LEN as usize);
-    let mut out = Vec::with_capacity(8 + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&body);
+    let out = seal_record(|body| encode_body(request_id, msg, body));
+    debug_assert!(out.len() - RECORD_HEADER <= MAX_FRAME_LEN as usize);
     out
 }
 
@@ -932,55 +847,34 @@ fn decode_body(body: &[u8]) -> Result<Envelope, WireError> {
     let request_id = take_u64(&mut buf)?;
     let kind = take_u8(&mut buf)?;
     let msg = match kind {
-        REQ_SCAN => {
-            let table = take_str(&mut buf)?;
-            let query_name = take_str(&mut buf)?;
-            let weight = take_f64(&mut buf)?;
-            let n = take_u16(&mut buf)? as usize;
-            let mut attrs = Vec::with_capacity(n);
-            for _ in 0..n {
-                attrs.push(take_u16(&mut buf)?);
-            }
-            let predicate = take_predicate(&mut buf)?;
-            let deadline_micros = take_u64(&mut buf)?;
-            Message::Request(Request::Scan {
-                table,
-                query_name,
-                weight,
-                attrs,
-                predicate,
-                deadline_micros,
-            })
-        }
-        REQ_INGEST => {
-            let table = take_str(&mut buf)?;
-            let client_id = take_u64(&mut buf)?;
-            let sequence = take_u64(&mut buf)?;
-            let deadline_micros = take_u64(&mut buf)?;
-            let blen = take_u64(&mut buf)? as usize;
-            let batch = take_bytes(&mut buf, blen)?.to_vec();
-            Message::Request(Request::Ingest {
-                table,
-                client_id,
-                sequence,
-                deadline_micros,
-                batch,
-            })
-        }
+        // Fields decode in the order they are written, which is wire order.
+        REQ_SCAN => Message::Request(Request::Scan {
+            table: take_str(&mut buf, MAX_STR_LEN)?,
+            query_name: take_str(&mut buf, MAX_STR_LEN)?,
+            weight: take_f64(&mut buf)?,
+            attrs: {
+                let n = take_u16(&mut buf)?.into();
+                take_vec(&mut buf, n, ATTRS, take_u16)?
+            },
+            predicate: take_predicate(&mut buf)?,
+            deadline_micros: take_u64(&mut buf)?,
+        }),
+        REQ_INGEST => Message::Request(Request::Ingest {
+            table: take_str(&mut buf, MAX_STR_LEN)?,
+            client_id: take_u64(&mut buf)?,
+            sequence: take_u64(&mut buf)?,
+            deadline_micros: take_u64(&mut buf)?,
+            batch: take_blob(&mut buf)?.to_vec(),
+        }),
         REQ_STATS => Message::Request(Request::Stats),
-        REQ_SUBSCRIBE => {
-            let follower_id = take_u64(&mut buf)?;
-            let tables = take_table_seqs(&mut buf)?;
-            Message::Request(Request::Subscribe {
-                follower_id,
-                tables,
-            })
-        }
-        REQ_REPL_ACK => {
-            let table = take_str(&mut buf)?;
-            let seq = take_u64(&mut buf)?;
-            Message::Request(Request::ReplAck { table, seq })
-        }
+        REQ_SUBSCRIBE => Message::Request(Request::Subscribe {
+            follower_id: take_u64(&mut buf)?,
+            tables: take_table_seqs(&mut buf)?,
+        }),
+        REQ_REPL_ACK => Message::Request(Request::ReplAck {
+            table: take_str(&mut buf, MAX_STR_LEN)?,
+            seq: take_u64(&mut buf)?,
+        }),
         RESP_SCAN => Message::Response(Response::ScanOk {
             checksum: take_u64(&mut buf)?,
             bytes_read: take_u64(&mut buf)?,
@@ -996,13 +890,7 @@ fn decode_body(body: &[u8]) -> Result<Envelope, WireError> {
             io_seconds: take_f64(&mut buf)?,
             delta_rows: take_u64(&mut buf)?,
             delta_bytes: take_u64(&mut buf)?,
-            deduped: match take_u8(&mut buf)? {
-                0 => false,
-                1 => true,
-                other => {
-                    return Err(WireError::Corrupt(format!("bad dedup flag {other}")));
-                }
-            },
+            deduped: take_flag(&mut buf, "dedup")?,
         }),
         RESP_STATS => {
             let mut stats = ServerStats::default();
@@ -1021,83 +909,44 @@ fn decode_body(body: &[u8]) -> Result<Envelope, WireError> {
             ] {
                 *counter = take_u64(&mut buf)?;
             }
-            let n = take_u32(&mut buf)? as usize;
-            if n > MAX_SLOW_RECORDS {
-                return Err(WireError::Corrupt(format!(
-                    "implausible slow-query count {n}"
-                )));
-            }
-            let mut slow = Vec::with_capacity(n);
-            for _ in 0..n {
-                let table = take_str(&mut buf)?;
-                let query = take_str(&mut buf)?;
-                let bytes_read = take_u64(&mut buf)?;
-                let wall_micros = take_u64(&mut buf)?;
-                let io_seconds = take_f64(&mut buf)?;
-                let deadline_slack_micros = match take_u8(&mut buf)? {
-                    0 => None,
-                    1 => Some(i64::from_le_bytes(
-                        take_bytes(&mut buf, 8)?.try_into().unwrap(),
-                    )),
-                    other => {
-                        return Err(WireError::Corrupt(format!("bad slack flag {other}")));
-                    }
-                };
-                let kept_fraction = match take_u8(&mut buf)? {
-                    0 => None,
-                    1 => Some(take_f64(&mut buf)?),
-                    other => {
-                        return Err(WireError::Corrupt(format!("bad kept flag {other}")));
-                    }
-                };
-                let generation = take_u64(&mut buf)?;
-                slow.push(SlowQueryRecord {
-                    table,
-                    query,
-                    bytes_read,
-                    wall_micros,
-                    io_seconds,
-                    deadline_slack_micros,
-                    kept_fraction,
-                    generation,
-                });
-            }
-            stats.slow_queries = slow;
+            let n = take_u32(&mut buf)?.into();
+            stats.slow_queries = take_vec(&mut buf, n, SLOW_RECORDS, |b| {
+                Ok::<_, DecodeError>(SlowQueryRecord {
+                    table: take_str(b, MAX_STR_LEN)?,
+                    query: take_str(b, MAX_STR_LEN)?,
+                    bytes_read: take_u64(b)?,
+                    wall_micros: take_u64(b)?,
+                    io_seconds: take_f64(b)?,
+                    deadline_slack_micros: match take_flag(b, "slack")? {
+                        true => Some(take_i64(b)?),
+                        false => None,
+                    },
+                    kept_fraction: match take_flag(b, "kept")? {
+                        true => Some(take_f64(b)?),
+                        false => None,
+                    },
+                    generation: take_u64(b)?,
+                })
+            })?;
             Message::Response(Response::StatsOk(stats))
         }
         RESP_SUBSCRIBE => Message::Response(Response::SubscribeOk {
             tables: take_table_seqs(&mut buf)?,
         }),
-        RESP_REPL_BATCH => {
-            let table = take_str(&mut buf)?;
-            let first_seq = take_u64(&mut buf)?;
-            let n = take_u32(&mut buf)? as usize;
-            if n > MAX_REPL_RECORDS {
-                return Err(WireError::Corrupt(format!(
-                    "implausible replication record count {n}"
-                )));
-            }
-            let mut records = Vec::with_capacity(n);
-            for _ in 0..n {
-                records.push(take_repl_record(&mut buf)?);
-            }
-            Message::Response(Response::ReplBatch {
-                table,
-                first_seq,
-                records,
-            })
-        }
+        RESP_REPL_BATCH => Message::Response(Response::ReplBatch {
+            table: take_str(&mut buf, MAX_STR_LEN)?,
+            first_seq: take_u64(&mut buf)?,
+            records: {
+                let n = take_u32(&mut buf)?.into();
+                take_vec(&mut buf, n, REPL_RECORDS, take_repl_record)?
+            },
+        }),
         RESP_HEARTBEAT => Message::Response(Response::Heartbeat),
-        RESP_ERROR => {
-            let code = ErrorCode::from_tag(take_u8(&mut buf)?)?;
-            let retry_after_micros = take_u64(&mut buf)?;
-            let message = take_str(&mut buf)?;
-            Message::Response(Response::Error {
-                code,
-                retry_after_micros,
-                message,
-            })
-        }
+        RESP_ERROR => Message::Response(Response::Error {
+            code: ErrorCode::from_tag(take_u8(&mut buf)?)?,
+            retry_after_micros: take_u64(&mut buf)?,
+            message: take_str(&mut buf, MAX_STR_LEN)?,
+        }),
         other => {
             return Err(WireError::Corrupt(format!("unknown message kind {other}")));
         }
@@ -1114,7 +963,7 @@ fn decode_body(body: &[u8]) -> Result<Envelope, WireError> {
 /// Incremental frame decoder over a received byte stream.
 ///
 /// Feed raw reads in with [`FrameBuffer::extend`], pull decoded frames
-/// out with [`FrameBuffer::next`]. Decoding state is just the buffered
+/// out with [`FrameBuffer::next_frame`]. Decoding state is just the buffered
 /// prefix, so the struct is trivially per-connection.
 #[derive(Debug, Default)]
 pub struct FrameBuffer {
@@ -1143,27 +992,15 @@ impl FrameBuffer {
     /// `Err` is a protocol violation at the exact current position; the
     /// connection must be closed (see the module docs).
     pub fn next_frame(&mut self) -> Result<Option<Envelope>, WireError> {
-        if self.buf.len() < 8 {
-            return Ok(None);
-        }
-        let len = u32::from_le_bytes(self.buf[0..4].try_into().unwrap());
-        if len < 9 {
-            return Err(WireError::Corrupt(format!(
-                "implausible frame length {len}"
-            )));
-        }
-        if len > MAX_FRAME_LEN {
-            return Err(WireError::TooLarge(len as u64));
-        }
-        let total = 8 + len as usize;
-        if self.buf.len() < total {
-            return Ok(None);
-        }
-        let crc = u32::from_le_bytes(self.buf[4..8].try_into().unwrap());
-        let body = &self.buf[8..total];
-        if crc32(body) != crc {
-            return Err(WireError::Corrupt("frame checksum mismatch".into()));
-        }
+        let body = match unseal_record(&self.buf, MAX_FRAME_LEN) {
+            Ok(body) => body,
+            Err(Unseal::ShortHeader | Unseal::ShortBody { .. }) => return Ok(None),
+            Err(Unseal::BadLength(len)) if len > MAX_FRAME_LEN => {
+                return Err(WireError::TooLarge(len.into()));
+            }
+            Err(e) => return Err(WireError::Corrupt(e.to_string())),
+        };
+        let total = RECORD_HEADER + body.len();
         let envelope = decode_body(body)?;
         self.buf.drain(..total);
         Ok(Some(envelope))

@@ -19,6 +19,7 @@
 //! with [`crate::engine::StoredTable::open`] and compares scans against
 //! an oracle that never crashed.
 
+use crate::encoding::DecodeError;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io;
@@ -98,6 +99,12 @@ impl std::error::Error for StorageError {}
 impl From<io::Error> for StorageError {
     fn from(e: io::Error) -> StorageError {
         StorageError::Io(e.to_string())
+    }
+}
+
+impl From<DecodeError> for StorageError {
+    fn from(e: DecodeError) -> StorageError {
+        StorageError::Corrupt(e.0)
     }
 }
 

@@ -18,12 +18,16 @@
 
 use crate::backend::StorageError;
 use crate::data::{ColumnData, TableData};
+use crate::encoding::{
+    put_flag, put_str, take_flag, take_i32, take_i64, take_str, take_u32, take_u64, take_u8,
+    take_vec, Count,
+};
 use slicer_model::{AttrKind, TableSchema};
 use std::sync::Arc;
 
 /// One atomic unit of ingest: rows to append and/or row ids to delete.
 /// Applied all-or-nothing — it is logged as a single WAL record.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct IngestBatch {
     /// Rows to append, one column per schema attribute (may be `None`
     /// for a delete-only batch).
@@ -340,12 +344,24 @@ pub(crate) fn fold_data(base: &TableData, delta: &DeltaState) -> TableData {
     TableData { columns, rows }
 }
 
-// --- binary (de)serialization of row batches (WAL payloads) -----------
+// --- binary (de)serialization of row batches --------------------------
+//
+// An ingest-batch image is `appends flag u8 ‖ [row image] ‖ deletes u64 ‖
+// row id u64 …`; a row image is `rows u64 ‖ columns u32` then, per column,
+// a kind tag and its values (`i32`, `i64` or `len u32 ‖ UTF-8`). The WAL
+// logs a batch as this image, and a wire client sends it.
 
 const COL_INT: u8 = 0;
 const COL_DECIMAL: u8 = 1;
 const COL_DATE: u8 = 2;
 const COL_TEXT: u8 = 3;
+
+const COLUMNS: Count = Count::new("column count", 1, u16::MAX as usize);
+/// Rows of a column of `i32`s, or of strings (each a `u32` length first).
+const ROWS_4: Count = Count::new("row count", 4, usize::MAX);
+/// Rows of a column of `i64`s.
+const ROWS_8: Count = Count::new("row count", 8, usize::MAX);
+const DELETES: Count = Count::new("delete count", 8, usize::MAX);
 
 /// Append the self-describing binary image of `data` to `out`.
 pub(crate) fn encode_table_data(data: &TableData, out: &mut Vec<u8>) {
@@ -374,109 +390,70 @@ pub(crate) fn encode_table_data(data: &TableData, out: &mut Vec<u8>) {
             ColumnData::Text(v) => {
                 out.push(COL_TEXT);
                 for s in v {
-                    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-                    out.extend_from_slice(s.as_bytes());
+                    put_str(out, s);
                 }
             }
         }
     }
 }
 
-/// Consume one encoded [`TableData`] from the front of `buf`.
+/// Consume one encoded [`TableData`] from the front of `buf`. Every
+/// column's row count is checked against the bytes left before its
+/// values are allocated.
 pub(crate) fn decode_table_data(buf: &mut &[u8]) -> Result<TableData, StorageError> {
-    let rows = take_u64(buf)? as usize;
-    let cols = take_u32(buf)? as usize;
-    if cols > u16::MAX as usize {
-        return Err(StorageError::Corrupt(format!(
-            "implausible column count {cols}"
-        )));
-    }
-    let mut columns = Vec::with_capacity(cols);
-    for _ in 0..cols {
-        let tag = take_bytes(buf, 1)?[0];
-        let col = match tag {
-            COL_INT | COL_DATE => {
-                let mut v = Vec::with_capacity(rows);
-                for _ in 0..rows {
-                    v.push(i32::from_le_bytes(take_bytes(buf, 4)?.try_into().unwrap()));
-                }
-                if tag == COL_INT {
-                    ColumnData::Int(v)
-                } else {
-                    ColumnData::Date(v)
-                }
-            }
-            COL_DECIMAL => {
-                let mut v = Vec::with_capacity(rows);
-                for _ in 0..rows {
-                    v.push(i64::from_le_bytes(take_bytes(buf, 8)?.try_into().unwrap()));
-                }
-                ColumnData::Decimal(v)
-            }
-            COL_TEXT => {
-                let mut v = Vec::with_capacity(rows);
-                for _ in 0..rows {
-                    let len = take_u32(buf)? as usize;
-                    let bytes = take_bytes(buf, len)?;
-                    let s = std::str::from_utf8(bytes)
-                        .map_err(|_| StorageError::Corrupt("non-UTF-8 text value".into()))?;
-                    v.push(s.to_string());
-                }
-                ColumnData::Text(v)
-            }
-            other => {
-                return Err(StorageError::Corrupt(format!("unknown column tag {other}")));
-            }
-        };
-        columns.push(col);
-    }
-    Ok(TableData { columns, rows })
+    let rows = take_u64(buf)?;
+    let cols = take_u32(buf)?.into();
+    let columns = take_vec(buf, cols, COLUMNS, |buf| {
+        Ok(match take_u8(buf)? {
+            COL_INT => ColumnData::Int(take_vec(buf, rows, ROWS_4, take_i32)?),
+            COL_DECIMAL => ColumnData::Decimal(take_vec(buf, rows, ROWS_8, take_i64)?),
+            COL_DATE => ColumnData::Date(take_vec(buf, rows, ROWS_4, take_i32)?),
+            COL_TEXT => ColumnData::Text(take_vec(buf, rows, ROWS_4, |b| take_str(b, usize::MAX))?),
+            other => return Err(StorageError::Corrupt(format!("unknown column tag {other}"))),
+        })
+    })?;
+    Ok(TableData {
+        columns,
+        rows: rows as usize,
+    })
 }
 
-/// Self-describing binary image of one [`IngestBatch`] — the payload a
-/// network tier carries inside a wire frame so a remote client's batch
-/// lands byte-identical in the server's WAL. Same shape as the WAL's
-/// `Ingest` record payload (appends flag + row image + delete list), but
-/// unframed: the transport provides its own length and checksum.
-pub fn encode_ingest_batch(batch: &IngestBatch) -> Vec<u8> {
-    let mut out = Vec::with_capacity(64);
-    match &batch.appends {
-        Some(data) => {
-            out.push(1);
-            encode_table_data(data, &mut out);
-        }
-        None => out.push(0),
+/// Append the binary image of one [`IngestBatch`] to `out`: the one
+/// encoder behind both the WAL's ingest record and
+/// [`encode_ingest_batch`].
+pub(crate) fn put_ingest_batch(batch: &IngestBatch, out: &mut Vec<u8>) {
+    if let Some(data) = put_flag(out, batch.appends.as_ref()) {
+        encode_table_data(data, out);
     }
     out.extend_from_slice(&(batch.deletes.len() as u64).to_le_bytes());
     for rid in &batch.deletes {
         out.extend_from_slice(&rid.to_le_bytes());
     }
+}
+
+/// Self-describing binary image of one [`IngestBatch`]: the payload a
+/// network tier carries inside a wire frame, byte for byte the payload of
+/// the WAL record the server logs for it. Unframed: the carrier provides
+/// length and checksum.
+pub fn encode_ingest_batch(batch: &IngestBatch) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64);
+    put_ingest_batch(batch, &mut out);
     out
 }
 
 /// Decode one [`encode_ingest_batch`] image. Structural validation only
 /// (the schema-aware checks run in [`crate::StoredTable::ingest`]);
 /// rejects trailing bytes, implausible counts, and truncation with a
-/// typed [`StorageError::Corrupt`] — never panics on arbitrary input.
+/// typed [`StorageError::Corrupt`] — never panics on arbitrary input,
+/// and allocates no more than the input's length warrants.
 pub fn decode_ingest_batch(bytes: &[u8]) -> Result<IngestBatch, StorageError> {
     let mut buf = bytes;
-    let appends = match take_bytes(&mut buf, 1)?[0] {
-        0 => None,
-        1 => Some(decode_table_data(&mut buf)?),
-        other => {
-            return Err(StorageError::Corrupt(format!("bad appends flag {other}")));
-        }
+    let appends = match take_flag(&mut buf, "appends")? {
+        true => Some(decode_table_data(&mut buf)?),
+        false => None,
     };
-    let n = take_u64(&mut buf)? as usize;
-    if n > buf.len() / 8 {
-        return Err(StorageError::Corrupt(format!(
-            "implausible delete count {n}"
-        )));
-    }
-    let mut deletes = Vec::with_capacity(n);
-    for _ in 0..n {
-        deletes.push(take_u64(&mut buf)?);
-    }
+    let n = take_u64(&mut buf)?;
+    let deletes = take_vec(&mut buf, n, DELETES, take_u64)?;
     if !buf.is_empty() {
         return Err(StorageError::Corrupt(format!(
             "{} trailing bytes in ingest batch",
@@ -484,26 +461,6 @@ pub fn decode_ingest_batch(bytes: &[u8]) -> Result<IngestBatch, StorageError> {
         )));
     }
     Ok(IngestBatch { appends, deletes })
-}
-
-pub(crate) fn take_bytes<'a>(buf: &mut &'a [u8], n: usize) -> Result<&'a [u8], StorageError> {
-    if buf.len() < n {
-        return Err(StorageError::Corrupt(format!(
-            "truncated: wanted {n} bytes, {} left",
-            buf.len()
-        )));
-    }
-    let (head, tail) = buf.split_at(n);
-    *buf = tail;
-    Ok(head)
-}
-
-pub(crate) fn take_u32(buf: &mut &[u8]) -> Result<u32, StorageError> {
-    Ok(u32::from_le_bytes(take_bytes(buf, 4)?.try_into().unwrap()))
-}
-
-pub(crate) fn take_u64(buf: &mut &[u8]) -> Result<u64, StorageError> {
-    Ok(u64::from_le_bytes(take_bytes(buf, 8)?.try_into().unwrap()))
 }
 
 #[cfg(test)]
@@ -556,6 +513,20 @@ mod tests {
             assert!(decode_ingest_batch(&padded).is_err());
         }
         assert!(decode_ingest_batch(&[2]).is_err(), "bad appends flag");
+        // A 14-byte batch declaring 2^40 (abort on allocation) or 2^61
+        // (capacity overflow) decimal rows is refused before any
+        // allocation.
+        for rows in [1u64 << 40, 1u64 << 61] {
+            let mut crafted = vec![1];
+            crafted.extend_from_slice(&rows.to_le_bytes());
+            crafted.extend_from_slice(&1u32.to_le_bytes());
+            crafted.push(1);
+            assert_eq!(crafted.len(), 14);
+            match decode_ingest_batch(&crafted) {
+                Err(StorageError::Corrupt(m)) => assert!(m.contains("row count"), "{m}"),
+                other => panic!("{rows} rows: expected a typed refusal, got {other:?}"),
+            }
+        }
     }
 
     #[test]

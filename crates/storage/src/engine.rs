@@ -538,15 +538,11 @@ impl StoredTable {
         let mut wal_records = 0u64;
         let mut rows_appended = 0u64;
         let mut rows_deleted = 0u64;
-        for record in &records[1..] {
-            let WalRecord::Ingest { appends, deletes } = record else {
+        for record in records.into_iter().skip(1) {
+            let WalRecord::Ingest(batch) = record else {
                 return Err(StorageError::Corrupt(
                     "unexpected Publish record mid-WAL".into(),
                 ));
-            };
-            let batch = IngestBatch {
-                appends: appends.clone(),
-                deletes: deletes.clone(),
             };
             let next_row_id = rows as u64 + delta.rows() as u64;
             rows_appended += batch.appended_rows() as u64;
@@ -620,17 +616,17 @@ impl StoredTable {
             return Ok(IngestStats::default());
         }
         let mut wal_bytes = 0u64;
+        let record = WalRecord::Ingest(normalized);
         if let (Some(durable), Some(dir)) = (state.as_mut(), self.dir.as_ref()) {
-            let record = WalRecord::Ingest {
-                appends: normalized.appends.clone(),
-                deletes: normalized.deletes.clone(),
-            };
             let bytes = encode_record(durable.next_seq, &record);
             wal_bytes = bytes.len() as u64;
             dir.append(&durable.wal_file, &bytes)?;
             durable.next_seq += 1;
             dir.crash_point(CrashPoint::AfterWalAppend);
         }
+        let WalRecord::Ingest(normalized) = record else {
+            unreachable!("built as an ingest record")
+        };
         let delta = base.delta.with_batch(&normalized, total_rows);
         let stats = IngestStats {
             rows_appended: normalized.appended_rows() as u64,

@@ -33,9 +33,11 @@
 //! * [`backend`] — the pluggable durable [`backend::Dir`] namespace
 //!   (filesystem, in-memory, and the crash-injecting wrapper driving the
 //!   recovery property suite);
-//! * [`wal`] — the length-prefixed, CRC-checksummed, sequence-numbered
-//!   write-ahead log plus the manifest and partition-file images, with
-//!   torn-tail recovery;
+//! * [`encoding`] — the byte rules every binary format shares: CRC-32,
+//!   the `len ‖ crc ‖ body` record frame of WAL records and wire frames,
+//!   and the bounded little-endian cursor;
+//! * [`wal`] — the CRC-framed, sequence-numbered write-ahead log plus the
+//!   manifest and partition-file images, with torn-tail recovery;
 //! * [`delta`] — the row-store delta of validated
 //!   [`delta::IngestBatch`]es that scans merge over the columnar base
 //!   until a repartition folds it in.
@@ -48,6 +50,7 @@ pub mod compress;
 pub mod cursor;
 pub mod data;
 pub mod delta;
+pub mod encoding;
 pub mod engine;
 pub mod executor;
 pub mod prune;
@@ -57,10 +60,11 @@ pub use backend::{CrashDir, CrashPoint, Dir, FsDir, MemDir, StorageError};
 pub use compress::{decode, default_codec, encode, Codec, EncodedColumn};
 pub use data::{generate_table, generate_table_seq, ColumnData, TableData};
 pub use delta::{decode_ingest_batch, encode_ingest_batch, DeltaBatch, DeltaState, IngestBatch};
+pub use encoding::crc32;
 pub use engine::{
     scan_naive_query_snapshot, CompressionPolicy, IngestStats, PartitionFile, RepartitionStats,
     ReplEvent, ReplOp, ReplTap, ScanResult, StoredTable, TableSnapshot,
 };
 pub use executor::{CacheMode, ScanExecutor};
 pub use prune::{ChunkStats, ColumnPrune, CHUNK_ROWS};
-pub use wal::{crc32, RecoveryReport, TornTail, WalRecord};
+pub use wal::{RecoveryReport, TornTail, WalRecord};

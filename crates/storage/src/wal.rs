@@ -1,23 +1,18 @@
 //! On-disk formats: the write-ahead log, the manifest, and the partition
 //! file image — everything a [`crate::backend::Dir`] holds.
 //!
-//! # WAL record format
+//! # WAL records
 //!
-//! ```text
-//! ┌─────────┬─────────┬─────────┬────────┬─────────────┐
-//! │ len u32 │ crc u32 │ seq u64 │ kind u8│ payload …   │
-//! └─────────┴─────────┴─────────┴────────┴─────────────┘
-//!              └──────── crc32 covers ────────────────┘
-//! ```
-//!
-//! `len` counts everything after the crc field (9 + payload bytes); `seq`
-//! is a per-table monotone sequence number with no gaps. Recovery walks
-//! records until the first one that fails *any* check — truncated header
-//! or body, bad CRC, sequence gap, unknown kind, malformed payload — and
-//! drops that suffix as the torn tail, reporting (never panicking over)
-//! what it discarded in a [`TornTail`]. An `append` interrupted by a
-//! crash leaves exactly such a suffix, so an unacknowledged batch can
-//! never half-apply.
+//! A WAL file is a run of [`crate::encoding`] record frames whose body is
+//! `seq u64 ‖ kind u8 ‖ payload`. `seq` is a per-table monotone sequence
+//! number with no gaps. A `Publish` payload is its generation (`u64`); an
+//! `Ingest` payload is the batch's [`crate::encode_ingest_batch`] image,
+//! the same bytes a wire client sends. Recovery walks records until the
+//! first one that fails *any* check — truncated header or body, bad CRC,
+//! sequence gap, unknown kind, malformed payload — and drops that suffix
+//! as the torn tail, reporting (never panicking over) what it discarded
+//! in a [`TornTail`]. An `append` interrupted by a crash leaves exactly
+//! such a suffix, so an unacknowledged batch can never half-apply.
 //!
 //! # Manifest
 //!
@@ -33,8 +28,11 @@
 
 use crate::backend::StorageError;
 use crate::compress::{Codec, EncodedColumn};
-use crate::data::TableData;
-use crate::delta::{decode_table_data, encode_table_data, take_bytes, take_u32, take_u64};
+use crate::delta::{decode_ingest_batch, put_ingest_batch, IngestBatch};
+use crate::encoding::{
+    crc32, put_blob, put_str, seal_record, take_blob, take_bytes, take_i64, take_str, take_u32,
+    take_u64, take_u8, take_vec, unseal_record, Count, DecodeError, RECORD_HEADER,
+};
 use crate::engine::{CompressionPolicy, PartitionFile};
 use crate::prune::{ChunkStats, ColumnPrune};
 use bytes::Bytes;
@@ -54,40 +52,6 @@ pub(crate) fn part_name(generation: u64, idx: usize) -> String {
     format!("part-{generation}-{idx}.seg")
 }
 
-// --- CRC-32 (IEEE) ----------------------------------------------------
-
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc_table();
-
-/// CRC-32 (IEEE 802.3 polynomial), the checksum guarding every WAL
-/// record, manifest, and partition file.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
-
 // --- WAL records ------------------------------------------------------
 
 const KIND_PUBLISH: u8 = 1;
@@ -102,44 +66,26 @@ pub enum WalRecord {
         /// The generation this WAL file belongs to.
         generation: u64,
     },
-    /// One atomic ingest batch: appended rows and/or tombstoned row ids.
-    Ingest {
-        /// Appended rows (normalized), if any.
-        appends: Option<TableData>,
-        /// Deleted row ids, sorted.
-        deletes: Vec<u64>,
-    },
+    /// One atomic ingest batch (normalized): appended rows and/or
+    /// tombstoned row ids, sorted.
+    Ingest(IngestBatch),
 }
 
 /// Serialize one record (header + payload) for appending to the WAL.
 pub(crate) fn encode_record(seq: u64, record: &WalRecord) -> Vec<u8> {
-    let mut body = Vec::with_capacity(64);
-    body.extend_from_slice(&seq.to_le_bytes());
-    match record {
-        WalRecord::Publish { generation } => {
-            body.push(KIND_PUBLISH);
-            body.extend_from_slice(&generation.to_le_bytes());
-        }
-        WalRecord::Ingest { appends, deletes } => {
-            body.push(KIND_INGEST);
-            match appends {
-                Some(data) => {
-                    body.push(1);
-                    encode_table_data(data, &mut body);
-                }
-                None => body.push(0),
+    seal_record(|body| {
+        body.extend_from_slice(&seq.to_le_bytes());
+        match record {
+            WalRecord::Publish { generation } => {
+                body.push(KIND_PUBLISH);
+                body.extend_from_slice(&generation.to_le_bytes());
             }
-            body.extend_from_slice(&(deletes.len() as u64).to_le_bytes());
-            for rid in deletes {
-                body.extend_from_slice(&rid.to_le_bytes());
+            WalRecord::Ingest(batch) => {
+                body.push(KIND_INGEST);
+                put_ingest_batch(batch, body);
             }
         }
-    }
-    let mut out = Vec::with_capacity(8 + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
+    })
 }
 
 /// What recovery discarded from the end of a WAL file.
@@ -172,79 +118,44 @@ pub(crate) fn decode_wal(bytes: &[u8], first_seq: u64) -> (Vec<WalRecord>, u64, 
             discarded_bytes: bytes.len() - off,
             reason,
         };
-        if bytes.len() - off < 8 {
-            break Some(tear("truncated record header".into()));
+        let body = match unseal_record(&bytes[off..], u32::MAX) {
+            Ok(body) => body,
+            Err(e) => break Some(tear(e.to_string())),
+        };
+        let mut payload = body;
+        match take_u64(&mut payload) {
+            Ok(seq) if seq == expect => {}
+            Ok(seq) => break Some(tear(format!("sequence gap: wanted {expect}, found {seq}"))),
+            Err(e) => break Some(tear(e.to_string())),
         }
-        let len = u32::from_le_bytes(bytes[off..off + 4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(bytes[off + 4..off + 8].try_into().unwrap());
-        if len < 9 {
-            break Some(tear(format!("implausible record length {len}")));
-        }
-        if bytes.len() - off - 8 < len {
-            break Some(tear(format!(
-                "truncated record body ({} of {len} bytes)",
-                bytes.len() - off - 8
-            )));
-        }
-        let body = &bytes[off + 8..off + 8 + len];
-        if crc32(body) != crc {
-            break Some(tear("record checksum mismatch".into()));
-        }
-        let seq = u64::from_le_bytes(body[..8].try_into().unwrap());
-        if seq != expect {
-            break Some(tear(format!("sequence gap: wanted {expect}, found {seq}")));
-        }
-        match decode_record_body(&body[8..]) {
+        match decode_record_body(payload) {
             Ok(record) => records.push(record),
             Err(e) => break Some(tear(format!("malformed record payload: {e}"))),
         }
         expect += 1;
-        off += 8 + len;
+        off += RECORD_HEADER + body.len();
     };
     (records, expect, torn)
 }
 
-fn decode_record_body(body: &[u8]) -> Result<WalRecord, StorageError> {
-    let mut buf = body;
-    let kind = take_bytes(&mut buf, 1)?[0];
-    let record = match kind {
-        KIND_PUBLISH => WalRecord::Publish {
-            generation: take_u64(&mut buf)?,
-        },
-        KIND_INGEST => {
-            let has_appends = take_bytes(&mut buf, 1)?[0];
-            let appends = match has_appends {
-                0 => None,
-                1 => Some(decode_table_data(&mut buf)?),
-                other => {
-                    return Err(StorageError::Corrupt(format!("bad appends flag {other}")));
-                }
-            };
-            let n = take_u64(&mut buf)? as usize;
-            if n > buf.len() / 8 {
-                return Err(StorageError::Corrupt(format!(
-                    "implausible delete count {n}"
-                )));
-            }
-            let mut deletes = Vec::with_capacity(n);
-            for _ in 0..n {
-                deletes.push(take_u64(&mut buf)?);
-            }
-            WalRecord::Ingest { appends, deletes }
-        }
+fn decode_record_body(mut body: &[u8]) -> Result<WalRecord, StorageError> {
+    match take_u8(&mut body)? {
+        KIND_INGEST => return Ok(WalRecord::Ingest(decode_ingest_batch(body)?)),
+        KIND_PUBLISH => {}
         other => {
             return Err(StorageError::Corrupt(format!(
                 "unknown record kind {other}"
             )));
         }
-    };
-    if !buf.is_empty() {
+    }
+    let generation = take_u64(&mut body)?;
+    if !body.is_empty() {
         return Err(StorageError::Corrupt(format!(
             "{} trailing bytes in record",
-            buf.len()
+            body.len()
         )));
     }
-    Ok(record)
+    Ok(WalRecord::Publish { generation })
 }
 
 /// What [`crate::engine::StoredTable::open`] found and did: the replay
@@ -296,6 +207,13 @@ const PART_MAGIC: &[u8; 4] = b"SLCP";
 // its block-skipping stats intact instead of rebuilding or losing them.
 const FORMAT_VERSION: u32 = 2;
 
+/// A manifest names at most `u16::MAX` files, each a `u32` length first.
+const FILES: Count = Count::new("manifest file count", 4, u16::MAX as usize);
+/// A segment's fixed fields: attr u32, codec u8, five u64s.
+const SEGMENTS: Count = Count::new("segment count", 45, u16::MAX as usize);
+/// A chunk's stats: min and max keys, four bloom words.
+const CHUNKS: Count = Count::new("chunk count", 16 + 32, usize::MAX);
+
 /// The decoded manifest: the durable root from which a table reopens.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Manifest {
@@ -328,25 +246,16 @@ fn policy_from_tag(tag: u8) -> Result<CompressionPolicy, StorageError> {
     }
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn take_str(buf: &mut &[u8]) -> Result<String, StorageError> {
-    let len = take_u32(buf)? as usize;
-    let bytes = take_bytes(buf, len)?;
-    std::str::from_utf8(bytes)
-        .map(str::to_string)
-        .map_err(|_| StorageError::Corrupt("non-UTF-8 file name".into()))
-}
-
-fn frame(magic: &[u8; 4], payload: Vec<u8>) -> Vec<u8> {
-    let mut out = Vec::with_capacity(12 + payload.len());
+/// An image: `magic ‖ FORMAT_VERSION u32 ‖ crc u32 ‖ payload`, the CRC
+/// filled in over what `write_payload` appends.
+fn frame(magic: &[u8; 4], write_payload: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut out = Vec::with_capacity(64);
     out.extend_from_slice(magic);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(&[0; 4]);
+    write_payload(&mut out);
+    let crc = crc32(&out[12..]);
+    out[8..12].copy_from_slice(&crc.to_le_bytes());
     out
 }
 
@@ -370,34 +279,26 @@ fn unframe<'a>(magic: &[u8; 4], bytes: &'a [u8], what: &str) -> Result<&'a [u8],
 }
 
 pub(crate) fn encode_manifest(m: &Manifest) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(64);
-    payload.extend_from_slice(&m.generation.to_le_bytes());
-    payload.push(policy_tag(m.policy));
-    put_str(&mut payload, &m.wal_file);
-    payload.extend_from_slice(&m.first_seq.to_le_bytes());
-    payload.extend_from_slice(&(m.files.len() as u32).to_le_bytes());
-    for f in &m.files {
-        put_str(&mut payload, f);
-    }
-    frame(MANIFEST_MAGIC, payload)
+    frame(MANIFEST_MAGIC, |payload| {
+        payload.extend_from_slice(&m.generation.to_le_bytes());
+        payload.push(policy_tag(m.policy));
+        put_str(payload, &m.wal_file);
+        payload.extend_from_slice(&m.first_seq.to_le_bytes());
+        payload.extend_from_slice(&(m.files.len() as u32).to_le_bytes());
+        for f in &m.files {
+            put_str(payload, f);
+        }
+    })
 }
 
 pub(crate) fn decode_manifest(bytes: &[u8]) -> Result<Manifest, StorageError> {
     let mut buf = unframe(MANIFEST_MAGIC, bytes, "manifest")?;
     let generation = take_u64(&mut buf)?;
-    let policy = policy_from_tag(take_bytes(&mut buf, 1)?[0])?;
-    let wal_file = take_str(&mut buf)?;
+    let policy = policy_from_tag(take_u8(&mut buf)?)?;
+    let wal_file = take_str(&mut buf, usize::MAX)?;
     let first_seq = take_u64(&mut buf)?;
-    let n = take_u32(&mut buf)? as usize;
-    if n > u16::MAX as usize {
-        return Err(StorageError::Corrupt(format!(
-            "manifest: implausible file count {n}"
-        )));
-    }
-    let mut files = Vec::with_capacity(n);
-    for _ in 0..n {
-        files.push(take_str(&mut buf)?);
-    }
+    let n = take_u32(&mut buf)?.into();
+    let files = take_vec(&mut buf, n, FILES, |b| take_str(b, usize::MAX))?;
     if !buf.is_empty() {
         return Err(StorageError::Corrupt("manifest: trailing bytes".into()));
     }
@@ -432,94 +333,65 @@ fn codec_from_tag(tag: u8) -> Result<Codec, StorageError> {
 }
 
 pub(crate) fn encode_partition_file(file: &PartitionFile) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(64);
-    payload.extend_from_slice(&(file.rows as u64).to_le_bytes());
-    payload.extend_from_slice(&(file.segments.len() as u32).to_le_bytes());
-    for (aid, seg) in &file.segments {
-        payload.extend_from_slice(&(aid.index() as u32).to_le_bytes());
-        payload.push(codec_tag(seg.codec));
-        payload.extend_from_slice(&(seg.rows as u64).to_le_bytes());
-        payload.extend_from_slice(&(seg.dict_entries as u64).to_le_bytes());
-        payload.extend_from_slice(&(seg.raw_width as u64).to_le_bytes());
-        payload.extend_from_slice(&(seg.bytes.len() as u64).to_le_bytes());
-        payload.extend_from_slice(&seg.bytes);
-        payload.extend_from_slice(&(seg.dict_bytes.len() as u64).to_le_bytes());
-        payload.extend_from_slice(&seg.dict_bytes);
-    }
-    // Pruning metadata, one run of chunk stats per segment, in segment
-    // order: fixed-width records (min, max, 4 bloom words) so the decoder
-    // never has to trust a length it cannot bound.
-    for prune in &file.prune {
-        payload.extend_from_slice(&(prune.chunks.len() as u64).to_le_bytes());
-        for c in &prune.chunks {
-            payload.extend_from_slice(&c.min_key.to_le_bytes());
-            payload.extend_from_slice(&c.max_key.to_le_bytes());
-            for w in c.bloom {
-                payload.extend_from_slice(&w.to_le_bytes());
+    frame(PART_MAGIC, |payload| {
+        payload.extend_from_slice(&(file.rows as u64).to_le_bytes());
+        payload.extend_from_slice(&(file.segments.len() as u32).to_le_bytes());
+        for (aid, seg) in &file.segments {
+            payload.extend_from_slice(&(aid.index() as u32).to_le_bytes());
+            payload.push(codec_tag(seg.codec));
+            payload.extend_from_slice(&(seg.rows as u64).to_le_bytes());
+            payload.extend_from_slice(&(seg.dict_entries as u64).to_le_bytes());
+            payload.extend_from_slice(&(seg.raw_width as u64).to_le_bytes());
+            put_blob(payload, &seg.bytes);
+            put_blob(payload, &seg.dict_bytes);
+        }
+        // Pruning metadata, one run of chunk stats per segment, in segment
+        // order: fixed-width records (min, max, 4 bloom words) so the
+        // decoder never has to trust a length it cannot bound.
+        for prune in &file.prune {
+            payload.extend_from_slice(&(prune.chunks.len() as u64).to_le_bytes());
+            for c in &prune.chunks {
+                payload.extend_from_slice(&c.min_key.to_le_bytes());
+                payload.extend_from_slice(&c.max_key.to_le_bytes());
+                for w in c.bloom {
+                    payload.extend_from_slice(&w.to_le_bytes());
+                }
             }
         }
-    }
-    frame(PART_MAGIC, payload)
+    })
 }
 
 pub(crate) fn decode_partition_file(bytes: &[u8]) -> Result<PartitionFile, StorageError> {
     let mut buf = unframe(PART_MAGIC, bytes, "partition file")?;
     let rows = take_u64(&mut buf)? as usize;
-    let n = take_u32(&mut buf)? as usize;
-    if n > u16::MAX as usize {
-        return Err(StorageError::Corrupt(format!(
-            "partition file: implausible segment count {n}"
-        )));
-    }
-    let mut segments = Vec::with_capacity(n);
+    let n = take_u32(&mut buf)?.into();
     let mut attrs = AttrSet::default();
-    for _ in 0..n {
-        let aid = AttrId(take_u32(&mut buf)? as u16);
-        let codec = codec_from_tag(take_bytes(&mut buf, 1)?[0])?;
-        let seg_rows = take_u64(&mut buf)? as usize;
-        let dict_entries = take_u64(&mut buf)? as usize;
-        let raw_width = take_u64(&mut buf)? as usize;
-        let blen = take_u64(&mut buf)? as usize;
-        let data = Bytes::from(take_bytes(&mut buf, blen)?.to_vec());
-        let dlen = take_u64(&mut buf)? as usize;
-        let dict = Bytes::from(take_bytes(&mut buf, dlen)?.to_vec());
+    let segments = take_vec(&mut buf, n, SEGMENTS, |buf| {
+        let aid = AttrId(take_u32(buf)? as u16);
         attrs.insert(aid);
-        segments.push((
-            aid,
-            EncodedColumn {
-                codec,
-                bytes: data,
-                dict_bytes: dict,
-                rows: seg_rows,
-                dict_entries,
-                raw_width,
-            },
-        ));
-    }
-    let mut prune = Vec::with_capacity(n);
-    for si in 0..n {
-        let count = take_u64(&mut buf)? as usize;
-        if count > buf.len() / (16 + 32) {
-            return Err(StorageError::Corrupt(format!(
-                "partition file: implausible chunk count {count} for segment {si}"
-            )));
-        }
-        let mut chunks = Vec::with_capacity(count);
-        for _ in 0..count {
-            let min_key = take_u64(&mut buf)? as i64;
-            let max_key = take_u64(&mut buf)? as i64;
-            let mut bloom = [0u64; 4];
-            for w in &mut bloom {
-                *w = take_u64(&mut buf)?;
-            }
-            chunks.push(ChunkStats {
-                min_key,
-                max_key,
-                bloom,
-            });
-        }
-        prune.push(ColumnPrune { chunks });
-    }
+        let segment = EncodedColumn {
+            codec: codec_from_tag(take_u8(buf)?)?,
+            rows: take_u64(buf)? as usize,
+            dict_entries: take_u64(buf)? as usize,
+            raw_width: take_u64(buf)? as usize,
+            bytes: Bytes::from(take_blob(buf)?.to_vec()),
+            dict_bytes: Bytes::from(take_blob(buf)?.to_vec()),
+        };
+        Ok::<_, StorageError>((aid, segment))
+    })?;
+    let prune = (0..segments.len())
+        .map(|_| {
+            let count = take_u64(&mut buf)?;
+            let chunks = take_vec(&mut buf, count, CHUNKS, |b| {
+                Ok::<_, DecodeError>(ChunkStats {
+                    min_key: take_i64(b)?,
+                    max_key: take_i64(b)?,
+                    bloom: [take_u64(b)?, take_u64(b)?, take_u64(b)?, take_u64(b)?],
+                })
+            })?;
+            Ok(ColumnPrune { chunks })
+        })
+        .collect::<Result<_, StorageError>>()?;
     if !buf.is_empty() {
         return Err(StorageError::Corrupt(
             "partition file: trailing bytes".into(),
@@ -537,12 +409,12 @@ pub(crate) fn decode_partition_file(bytes: &[u8]) -> Result<PartitionFile, Stora
 mod tests {
     use super::*;
     use crate::compress::encode;
-    use crate::data::ColumnData;
+    use crate::data::{ColumnData, TableData};
 
     fn sample_records() -> Vec<WalRecord> {
         vec![
             WalRecord::Publish { generation: 3 },
-            WalRecord::Ingest {
+            WalRecord::Ingest(IngestBatch {
                 appends: Some(TableData {
                     columns: vec![
                         ColumnData::Int(vec![7, 8]),
@@ -551,18 +423,18 @@ mod tests {
                     rows: 2,
                 }),
                 deletes: vec![],
-            },
-            WalRecord::Ingest {
+            }),
+            WalRecord::Ingest(IngestBatch {
                 appends: None,
                 deletes: vec![0, 5],
-            },
-            WalRecord::Ingest {
+            }),
+            WalRecord::Ingest(IngestBatch {
                 appends: Some(TableData {
                     columns: vec![ColumnData::Decimal(vec![1]), ColumnData::Date(vec![30])],
                     rows: 1,
                 }),
                 deletes: vec![2],
-            },
+            }),
         ]
     }
 
@@ -648,10 +520,10 @@ mod tests {
         let mut stream = encode_record(0, &WalRecord::Publish { generation: 0 });
         stream.extend_from_slice(&encode_record(
             2, // gap: 1 skipped
-            &WalRecord::Ingest {
+            &WalRecord::Ingest(IngestBatch {
                 appends: None,
                 deletes: vec![4],
-            },
+            }),
         ));
         let (decoded, next_seq, torn) = decode_wal(&stream, 0);
         assert_eq!(decoded.len(), 1);

@@ -23,8 +23,10 @@
 //! assert!(layout.len() >= 2);
 //! ```
 //!
-//! See `DESIGN.md` for the system inventory and `EXPERIMENTS.md` for the
-//! paper-versus-measured results of every table and figure.
+//! The README's "Workspace layout" is the system inventory. `repro list`
+//! names the runner behind every table and figure of the paper, and
+//! `repro all` prints their measured results (README, "Reproducing the
+//! paper").
 
 #![forbid(unsafe_code)]
 

@@ -12,8 +12,8 @@
 use proptest::prelude::*;
 use slicer::model::{AttrKind, AttrSet, Partitioning, Query, TableSchema};
 use slicer::storage::{
-    generate_table, scan_naive_query_snapshot, CompressionPolicy, CrashDir, CrashPoint, Dir, FsDir,
-    IngestBatch, MemDir, ScanExecutor, StoredTable, TableData,
+    crc32, generate_table, scan_naive_query_snapshot, CompressionPolicy, CrashDir, CrashPoint, Dir,
+    FsDir, IngestBatch, MemDir, ScanExecutor, StoredTable, TableData,
 };
 use slicer_cost::DiskParams;
 use std::collections::BTreeSet;
@@ -387,6 +387,30 @@ fn corrupted_final_record_is_dropped_never_panics() {
             assert_eq!(checksum_of(&recovered), sum1);
         }
     }
+
+    // A final record whose CRC is valid but whose batch declares 2^40
+    // decimal rows in 14 bytes: a tear that keeps the intact prefix, not
+    // an allocation of 2^40 values.
+    let mut body = wal[intact + 8..intact + 16].to_vec(); // its sequence number
+    body.push(2); // an ingest record
+    body.push(1);
+    body.extend_from_slice(&(1u64 << 40).to_le_bytes());
+    body.extend_from_slice(&1u32.to_le_bytes());
+    body.push(1);
+    let mut bytes = wal[..intact].to_vec();
+    bytes.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    bytes.extend_from_slice(&crc32(&body).to_le_bytes());
+    bytes.extend_from_slice(&body);
+    let mut image = dir.image();
+    image.insert(wal_name.clone(), bytes);
+    let crafted_dir = Arc::new(MemDir::from_image(image));
+    let (recovered, report) = StoredTable::open(&schema, crafted_dir as Arc<dyn Dir>)
+        .expect("a CRC-valid but implausible record must recover, not error");
+    assert_eq!(report.wal_records, 1);
+    let torn = report.torn.expect("the implausible record is a tear");
+    assert_eq!(torn.valid_bytes, intact);
+    assert!(torn.reason.contains("row count"), "{}", torn.reason);
+    assert_eq!(checksum_of(&recovered), sum1);
 }
 
 /// The explicit repartition-mid-fold kill: a crash after some (but not

@@ -303,6 +303,41 @@ fn typed_errors_are_typed_and_the_connection_stays_usable() {
         }
         other => panic!("expected typed InvalidBatch, got {other:?}"),
     }
+    // A 14-byte batch declaring 2^40 (or 2^61) decimal rows is refused
+    // before the decoder allocates for them: typed, and the connection
+    // stays up.
+    for (id, rows) in [(7u64, 1u64 << 40), (8, 1u64 << 61)] {
+        let mut crafted = vec![1];
+        crafted.extend_from_slice(&rows.to_le_bytes());
+        crafted.extend_from_slice(&1u32.to_le_bytes());
+        crafted.push(1);
+        raw.write_all(&slicer::net::encode_request(
+            id,
+            &Request::Ingest {
+                table: "alpha".into(),
+                client_id: 999,
+                sequence: id,
+                deadline_micros: 0,
+                batch: crafted,
+            },
+        ))
+        .unwrap();
+        let env = loop {
+            let n = raw.read(&mut buf).unwrap();
+            assert!(n > 0, "server closed instead of answering typed");
+            fb.extend(&buf[..n]);
+            if let Some(env) = fb.next_frame().unwrap() {
+                break env;
+            }
+        };
+        assert_eq!(env.request_id, id);
+        match env.msg {
+            slicer::net::Message::Response(slicer::net::Response::Error { code, .. }) => {
+                assert_eq!(code, ErrorCode::InvalidBatch, "{rows} rows")
+            }
+            other => panic!("{rows} rows: expected typed InvalidBatch, got {other:?}"),
+        }
+    }
     // Same raw connection still serves.
     raw.write_all(&slicer::net::encode_request(6, &Request::Stats))
         .unwrap();

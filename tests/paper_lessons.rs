@@ -1,6 +1,7 @@
 //! The paper's four lessons (Section 7), verified end to end at test
-//! scale. EXPERIMENTS.md records the full-scale numbers; these tests pin
-//! the *shape* so regressions in any crate surface here.
+//! scale. `repro all` (README, "Reproducing the paper") prints the
+//! full-scale numbers; these tests pin the *shape* so regressions in any
+//! crate surface here.
 
 use slicer::metrics::{column_cost, row_cost, run_advisor};
 use slicer::prelude::*;
